@@ -454,11 +454,26 @@ def cmd_charsum(args: argparse.Namespace) -> int:
     else:
         field = build_field(cfg)
         q = field.q
-        est = {
-            "orthogonality": q * q,
-            "mordell": q**3 * (q - 1),
-            "winterhof": (2**field.n) * q * q,
-        }[mode]
+        if mode == "orthogonality":
+            est = q * q
+        elif mode == "mordell":
+            est = q**3 * (q - 1)
+        else:  # winterhof: one --basis, or every subset of 0..n-1
+            basis_cfg = cfg.get("basis")
+            if basis_cfg is not None:
+                if isinstance(basis_cfg, str):
+                    idx = [int(s) for s in basis_cfg.split(",") if s.strip()]
+                elif isinstance(basis_cfg, list):
+                    idx = [int(s) for s in basis_cfg]
+                else:
+                    raise ConfigError(f"basis must be a comma list, got {basis_cfg!r}")
+                bases = [tuple(sorted(idx))]
+            else:
+                bases = [
+                    tuple(i for i in range(field.n) if mask >> i & 1)
+                    for mask in range(2**field.n)
+                ]
+            est = sum(q * field.p ** len(b) for b in bases)
         _charsum_budget_check(mode, est, budget)
         base |= {"n": field.n, "q": q}
         if mode == "orthogonality":
@@ -505,20 +520,6 @@ def cmd_charsum(args: argparse.Namespace) -> int:
                             }
                         )
         else:  # winterhof
-            basis_cfg = cfg.get("basis")
-            if basis_cfg is not None:
-                if isinstance(basis_cfg, str):
-                    idx = [int(s) for s in basis_cfg.split(",") if s.strip()]
-                elif isinstance(basis_cfg, list):
-                    idx = [int(s) for s in basis_cfg]
-                else:
-                    raise ConfigError(f"basis must be a comma list, got {basis_cfg!r}")
-                bases = [tuple(sorted(idx))]
-            else:
-                bases = [
-                    tuple(i for i in range(field.n) if mask >> i & 1)
-                    for mask in range(2**field.n)
-                ]
             for basis in bases:
                 rep = winterhof_sum(field, AdditiveSubgroup(field, basis), budget)
                 dev = abs(rep.magnitude - q)

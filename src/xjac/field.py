@@ -8,11 +8,15 @@ is encoded as the integer sum_i c_i * p**i, so the encodings are exactly
 Fields with n > 1 and q small enough precompute full operation tables;
 larger fields fall back to digit-vector arithmetic.  Either way the
 observable behaviour is identical.
+
+All F_p polynomial arithmetic (modulus search and check, digit-vector
+inverse) goes through the shared poly.raw_* kernels over finite_field(p),
+imported inside the functions that use them because poly imports this
+module.  The modulus search builds no p-sized table.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -41,7 +45,7 @@ def is_prime(m: int) -> bool:
     """Deterministic primality test for the supported integer range."""
     if m < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if m % small == 0:
             return m == small
     d = m - 1
@@ -62,88 +66,27 @@ def is_prime(m: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Raw polynomial arithmetic over F_p on low-degree-first int lists.  Only
-# what modulus validation needs lives here; the general-purpose polynomial
-# type over any field is in poly.py.
-# ---------------------------------------------------------------------------
-
-
-def _pstrip(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _pstrip([c % p for c in out])
-
-
-def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    # m is monic; synthetic division, remainder only.
-    r = list(a)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm:
-        lead = r[-1]
-        if lead:
-            shift = len(r) - 1 - dm
-            for i in range(dm):
-                r[shift + i] = (r[shift + i] - lead * m[i]) % p
-        r.pop()
-        _pstrip(r)
-    return r
-
-
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    # Returns some associate of the gcd; callers only test its degree.
-    x, y = list(a), list(b)
-    while y:
-        inv_lead = pow(y[-1], p - 2, p)
-        ym = [c * inv_lead % p for c in y]
-        x, y = y, _pmod(x, ym, p)
-    return x
-
-
-def _ppow_frob(f: Sequence[int], p: int, steps: int) -> list[list[int]]:
-    """x^(p^d) mod f for d = 1..steps, via iterated p-th powers."""
-    out = []
-    cur = _pmod([0, 1], f, p)
-    for _ in range(steps):
-        # cur = cur**p mod f by square-and-multiply on the exponent p.
-        base, acc, e = cur, [1], p
-        while e:
-            if e & 1:
-                acc = _pmod(_pmul(acc, base, p), f, p)
-            e >>= 1
-            if e:
-                base = _pmod(_pmul(base, base, p), f, p)
-        cur = acc
-        out.append(cur)
-    return out
-
-
 def _pis_irreducible(f: Sequence[int], p: int) -> bool:
-    """Irreducibility of monic f over F_p: gcd(f, x^(p^d) - x) = 1 for
-    every d up to deg(f)/2."""
+    """Irreducibility of monic f over F_p (Ben-Or): gcd(f, x^(p^d) - x) = 1
+    for every d up to deg(f)/2."""
+    from .poly import raw_divmod, raw_gcd, raw_mul, raw_sub
+
     n = len(f) - 1
     if n < 1:
         return False
-    for xpd in _ppow_frob(f, p, n // 2):
-        diff = list(xpd)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        _pstrip(diff)
-        if not diff:
-            return False  # f divides x^(p^d) - x outright
-        if len(_pgcd(list(f), diff, p)) - 1 > 0:
+    Fp = finite_field(p)
+    xpd = [0, 1]
+    for _ in range(n // 2):
+        # xpd = xpd**p mod f by square-and-multiply on the exponent p
+        base, acc, e = xpd, [1], p
+        while e:
+            if e & 1:
+                acc = raw_divmod(Fp, raw_mul(Fp, acc, base), f)[1]
+            e >>= 1
+            if e:
+                base = raw_divmod(Fp, raw_mul(Fp, base, base), f)[1]
+        xpd = acc
+        if len(raw_gcd(Fp, f, raw_sub(Fp, xpd, [0, 1]))) > 1:
             return False
     return True
 
@@ -159,10 +102,12 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
         raise NotPrimeError(f"p={p} is not prime")
     if n < 1:
         raise WrongDegreeError(f"extension degree must be >= 1, got {n}")
-    for tail in itertools.product(range(p), repeat=n):
-        if n > 1 and tail[0] == 0:
-            continue  # divisible by x
-        f = list(tail) + [1]
+    if n == 1:
+        return (0, 1)  # every monic linear is irreducible; x is the smallest
+    # m is the base-p numeral c_0 c_1 ... c_{n-1}, c_0 most significant and
+    # nonzero (c_0 = 0 means x | f); nothing p-sized is built
+    for m in range(p ** (n - 1), p**n):
+        f = [m // p ** (n - 1 - i) % p for i in range(n)] + [1]
         if _pis_irreducible(f, p):
             return tuple(f)
     raise AssertionError("unreachable: irreducibles exist for every degree")
@@ -313,13 +258,15 @@ class FiniteField:
         if modulus is None:
             mod = list(find_irreducible(p, n))
         else:
+            from .poly import raw_strip
+
             mod = list(modulus)
             for c in mod:
                 if not isinstance(c, int) or not 0 <= c < p:
                     raise NonElementError(
                         f"modulus coefficient {c!r} is not in [0, {p})"
                     )
-            _pstrip(mod)
+            raw_strip(mod)
             if len(mod) - 1 != n:
                 raise WrongDegreeError(
                     f"modulus degree {len(mod) - 1} does not match n={n}"
@@ -440,8 +387,11 @@ class FiniteField:
         self._inv = inv
 
     def _bind_vector_ops(self):
+        from .poly import raw_strip, raw_xgcd
+
         self._xk = self._reduction_rows()
         p = self.p
+        Fp = finite_field(p)
 
         def add(a: int, b: int) -> int:
             da, db = self._vec_decode(a), self._vec_decode(b)
@@ -462,34 +412,9 @@ class FiniteField:
         def inv(a: int) -> int:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            # extended Euclid in F_p[x] against the modulus
-            r0, r1 = list(self.modulus), _pstrip(self._vec_decode(a))
-            s0, s1 = [], [1]
-            while r1:
-                lead_inv = pow(r1[-1], p - 2, p)
-                r1m = [c * lead_inv % p for c in r1]
-                # quotient of r0 by monic r1m
-                rem = list(r0)
-                quo = [0] * max(len(rem) - len(r1m) + 1, 0)
-                dm = len(r1m) - 1
-                while len(rem) - 1 >= dm and rem:
-                    lead = rem[-1]
-                    shift = len(rem) - 1 - dm
-                    if lead:
-                        quo[shift] = lead
-                        for i in range(dm):
-                            rem[shift + i] = (rem[shift + i] - lead * r1m[i]) % p
-                    rem.pop()
-                    _pstrip(rem)
-                quo = [c * lead_inv % p for c in quo]
-                s_new = [x % p for x in _psub_list(s0, _pmul(quo, s1, p), p)]
-                r0, r1 = r1, rem
-                s0, s1 = s1, _pstrip(s_new)
-            # r0 is the gcd = nonzero constant (modulus irreducible)
-            c_inv = pow(r0[0], p - 2, p)
-            digits = [x * c_inv % p for x in s0]
-            digits += [0] * (self.n - len(digits))
-            return self._vec_encode(digits[: self.n])
+            # s*modulus + t*a = 1 because the modulus is irreducible
+            _, _, t = raw_xgcd(Fp, self.modulus, raw_strip(self._vec_decode(a)))
+            return self._vec_encode(t)
 
         self._add = add
         self._sub = sub
@@ -586,11 +511,7 @@ class FiniteField:
         for d in ds:
             if not isinstance(d, int) or not 0 <= d < self.p:
                 raise NonElementError(f"coordinate {d!r} is not in [0, {self.p})")
-        ds += [0] * (self.n - len(ds))
-        v = 0
-        for d in reversed(ds):
-            v = v * self.p + d
-        return v
+        return self._vec_encode(ds)
 
     def element(self, v) -> FieldElement:
         if isinstance(v, FieldElement):
@@ -632,15 +553,6 @@ class FiniteField:
         if self.n == 1:
             return f"F_{self.p}"
         return f"F_{self.q}(mod {','.join(map(str, self.modulus))})"
-
-
-def _psub_list(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return out
 
 
 @lru_cache(maxsize=None)

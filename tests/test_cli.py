@@ -189,6 +189,14 @@ class TestCharsum:
         assert row["basis"] == "0;2"
         assert row["magnitude"] == "27" and row["expected"] == "27"
 
+    def test_winterhof_budget_counts_only_the_given_basis(self, capsys):
+        # 27 * 3 evaluations for the one basis {0}, well inside 100
+        code, out, _ = run(capsys, ["charsum", "--mode", "winterhof", "--p", "3",
+                                    "--n", "3", "--basis", "0", "--budget", "100"])
+        assert code == 0
+        (row,) = rows_of(out)
+        assert row["basis"] == "0" and row["status"] == "pass"
+
     def test_interval_rejects_extension_field(self, capsys):
         code, _, _ = run(capsys, ["charsum", "--mode", "interval", "--p", "3",
                                   "--n", "2", "--L", "2"])

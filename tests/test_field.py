@@ -56,6 +56,43 @@ def test_find_irreducible_is_minimal():
                 assert not _pis_irreducible(list(cand), 3)
 
 
+def _monics(p, d):
+    """Every monic polynomial of degree d over F_p, low-degree-first."""
+    for m in range(p**d):
+        yield [m // p**i % p for i in range(d)] + [1]
+
+
+def _divides(g, f, p):
+    """True when monic g divides f over F_p, by schoolbook division on ints."""
+    r = list(f)
+    while len(r) >= len(g):
+        lead = r[-1]
+        shift = len(r) - len(g)
+        for i, c in enumerate(g):
+            r[shift + i] = (r[shift + i] - lead * c) % p
+        r.pop()
+    return not any(r)
+
+
+@pytest.mark.parametrize(
+    "p,n", [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2)]
+)
+def test_pis_irreducible_matches_trial_division(p, n):
+    from xjac.field import _pis_irreducible
+
+    for f in _monics(p, n):
+        by_trial = not any(
+            _divides(g, f, p) for d in range(1, n // 2 + 1) for g in _monics(p, d)
+        )
+        assert _pis_irreducible(f, p) == by_trial, f
+
+
+def test_default_modulus_of_huge_prime_field_is_x():
+    # the modulus search must not build anything p-sized
+    K = FiniteField(2**61 - 1)
+    assert K.modulus == (0, 1)
+
+
 @pytest.mark.parametrize("p,n", SMALL_FIELDS)
 def test_field_axioms_exhaustive(p, n):
     K = finite_field(p, n)
@@ -118,6 +155,21 @@ def test_vector_backend_matches_tables():
         a = rng.randrange(big.q)
         if a:
             assert big.mul(a, big.inv(a)) == 1
+
+
+def test_vector_mul_matches_polynomial_product_mod_modulus():
+    import random
+
+    from xjac.poly import raw_divmod, raw_mul
+
+    big = finite_field(3, 7)
+    Fp = finite_field(3)
+    rng = random.Random(11)
+    for _ in range(500):
+        a, b = rng.randrange(big.q), rng.randrange(big.q)
+        prod = raw_mul(Fp, big.coords(a), big.coords(b))
+        _, rem = raw_divmod(Fp, prod, big.modulus)
+        assert big.mul(a, b) == big.from_coords(rem)
 
 
 def test_pow_matches_repeated_mul():
