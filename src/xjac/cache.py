@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import sys
 from typing import Sequence
 
 from .curve import AffinePoint, HyperellipticCurve, MumfordDivisor
-from .errors import BudgetExceededError, CacheError
+from .errors import CacheError
 from .poly import Poly
 
 CACHE_VERSION = 1
@@ -183,12 +182,7 @@ def ensure_jacobian(
     warmth.  A corrupt cache file is recomputed and rewritten, with a
     warning line on stderr.
     """
-    q = curve.field.q
-    if (math.sqrt(q) + 1) ** 4 > budget:
-        raise BudgetExceededError(
-            f"Jacobian may hold up to {math.ceil((math.sqrt(q) + 1) ** 4)} classes, "
-            f"budget is {budget}"
-        )
+    curve.require_jacobian_budget(budget)
     if cache_dir:
         try:
             cached = load(cache_dir, curve)

@@ -303,7 +303,7 @@ class FiniteField:
         def inv(a: int, _p=p) -> int:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return pow(a, _p - 2, _p)
+            return pow(a, -1, _p)
 
         self._inv = inv
 

@@ -1,4 +1,5 @@
-"""Curve construction, point enumeration, Cantor arithmetic, Jacobian
+"""Curve construction, point enumeration, Cantor arithmetic (the closed-form
+weight-2 path cross-checked against Cantor's algorithm), Jacobian
 enumeration (cross-checked against a naive scan oracle) and budgets."""
 
 import pytest
@@ -20,7 +21,7 @@ from xjac.errors import (
     WrongDegreeError,
 )
 from xjac.field import finite_field
-from xjac.poly import Poly
+from xjac.poly import Poly, raw_gcd
 from xjac.stats import RandomSource
 
 
@@ -171,6 +172,145 @@ class TestCantor:
             c7.cantor_add(ghost, c7.zero())
         with pytest.raises(InvalidDivisorError):
             c7.cantor_add("no", c7.zero())
+
+
+def raw_args(A, B):
+    return list(A.u.coeffs), list(A.v.coeffs), list(B.u.coeffs), list(B.v.coeffs)
+
+
+def cantor_only_scalar_mul(curve, D, m):
+    """Oracle: scalar_mul's double-and-add with every step done by
+    Cantor's algorithm."""
+    ru, rv = [1], []
+    au, av = list(D.u.coeffs), list(D.v.coeffs)
+    while m:
+        if m & 1:
+            ru, rv = curve._cantor_general_raw(ru, rv, au, av)
+        m >>= 1
+        if m:
+            au, av = curve._cantor_general_raw(au, av, au, av)
+    return curve._wrap_divisor(ru, rv)
+
+
+@pytest.fixture
+def general_calls(monkeypatch):
+    """Records every call that reaches Cantor's algorithm; returns the list
+    and the unpatched method, which serves as the oracle."""
+    calls = []
+    original = HyperellipticCurve._cantor_general_raw
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(HyperellipticCurve, "_cantor_general_raw", counting)
+    return calls, original
+
+
+class TestClosedForm:
+    """_cantor_raw's closed-form weight-2 add and double against Cantor's
+    algorithm (_cantor_general_raw), which stays the fallback."""
+
+    def check_pairs(self, curve, pairs):
+        closed = 0
+        for A, B in pairs:
+            args = raw_args(A, B)
+            want = curve._cantor_general_raw(*args)
+            assert curve._cantor_raw(*args) == want, (A, B)
+            if A.weight == B.weight == 2 and curve._weight2_raw(*args):
+                closed += 1
+        return closed
+
+    @pytest.mark.parametrize("name", ["c7", "c9"])
+    def test_every_pair_and_doubling(self, name, request):
+        curve = request.getfixturevalue(name)
+        J = curve.enumerate_jacobian()
+        pairs = [(A, B) for A in J for B in J]
+        assert self.check_pairs(curve, pairs) > len(J)
+
+    @pytest.mark.parametrize(
+        "p, n, f", [(7, 2, "3,5,11,20,7,1"), (3, 4, "2,40,13,7,29,1")]
+    )
+    def test_random_pairs_and_doublings(self, p, n, f):
+        curve = HyperellipticCurve(finite_field(p, n), f)
+        J = [D for D in curve.enumerate_jacobian() if D.weight == 2]
+        rng = RandomSource(p * n)
+
+        def pick():
+            return J[rng.next_below(len(J))]
+
+        pairs = [(pick(), pick()) for _ in range(2000)]
+        pairs += [(D, D) for D in (pick() for _ in range(2000))]
+        assert self.check_pairs(curve, pairs) > 3500
+
+    def test_scalar_mul_large_prime(self):
+        p = 1000003
+        K = finite_field(p)
+        curve = HyperellipticCurve(K, "5,17,0,3,11,1")
+        points = []
+        x = 0
+        while len(points) < 2:
+            r = curve.f(x)
+            if r and pow(r, (p - 1) // 2, p) == 1:
+                points.append(curve.divisor_from_point((x, pow(r, (p + 1) // 4, p))))
+            x += 1
+        G = curve.cantor_add(*points)
+        assert G.weight == 2
+        rng = RandomSource(1000003)
+        scalars = [rng.next_below(p * p) for _ in range(20)]
+        for m in scalars:
+            assert curve.scalar_mul(G, m) == cantor_only_scalar_mul(curve, G, m)
+        for a, b in zip(scalars[:4], scalars[4:8]):
+            aG, bG = curve.scalar_mul(G, a), curve.scalar_mul(G, b)
+            assert curve.scalar_mul(bG, a) == curve.scalar_mul(aG, b)
+
+    def test_fallback_branches(self, c7, general_calls):
+        calls, oracle = general_calls
+        K = c7.field
+        J = c7.enumerate_jacobian()
+        w1 = [D for D in J if D.weight == 1]
+        w2 = [D for D in J if D.weight == 2]
+
+        def coprime(a, b):
+            return len(raw_gcd(K, a, b)) == 1
+
+        def first(pairs, pred):
+            for A, B in pairs:
+                if pred(*raw_args(A, B)):
+                    return A, B
+            raise AssertionError("no pair hits this branch")
+
+        def light_sum(u1, v1, u2, v2):
+            return len(oracle(c7, u1, v1, u2, v2)[0]) < 3
+
+        pairs = [(A, B) for A in w2 for B in w2]
+        cases = {
+            "weight-1 operand": (w1[0], w2[0]),
+            "D + (-D)": first(
+                ((D, c7.neg(D)) for D in w2), lambda u1, v1, u2, v2: v1 != v2
+            ),
+            "shared root": first(
+                pairs, lambda u1, v1, u2, v2: u1 != u2 and not coprime(u1, u2)
+            ),
+            "r = 0 in a doubling": first(
+                ((D, D) for D in w2), lambda u1, v1, u2, v2: not coprime(u1, v1)
+            ),
+            # once Res != 0 the composition is [u1*u2, V] with V = v1 + s*u1,
+            # and the sum has weight below 2 exactly when s1 = 0
+            "s1 = 0 in an add": first(
+                pairs,
+                lambda u1, v1, u2, v2: coprime(u1, u2) and light_sum(u1, v1, u2, v2),
+            ),
+            "s1 = 0 in a doubling": first(
+                ((D, D) for D in w2),
+                lambda u1, v1, u2, v2: coprime(u1, v1) and light_sum(u1, v1, u2, v2),
+            ),
+        }
+        for name, (A, B) in cases.items():
+            args = raw_args(A, B)
+            before = len(calls)
+            assert c7._cantor_raw(*args) == oracle(c7, *args), name
+            assert len(calls) == before + 1, name
 
 
 class TestEnumeration:
