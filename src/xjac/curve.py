@@ -13,6 +13,11 @@ closed-form formulas with one field inversion (Cantor, Math. Comp. 48,
 1987; Lange, AAECC 15, 2005); every other case, and a generic one whose
 sum has weight below 2, goes through Cantor's composition and reduction,
 which is also the oracle the tests check the formulas against.
+
+Validity and enumeration work from f mod u: with u = x^2 + a*x + b,
+f == r1*x + r0 and v = c*x + d, u | v^2 - f reads 2cd - a*c^2 = r1 and
+d^2 - b*c^2 = r0, so checking a divisor costs O(1) field operations and
+enumerating the Jacobian solves a quadratic for c^2 per u, O(q^2) in all.
 """
 
 from __future__ import annotations
@@ -210,9 +215,32 @@ class HyperellipticCurve:
                 return False
         if u.field != self.field:
             return False
-        diff = raw_sub(self.field, raw_mul(self.field, v.coeffs, v.coeffs), self._fraw)
-        _, rem = raw_divmod(self.field, diff, u.coeffs)
-        return not rem
+        K = self.field
+        uc, vc = u.coeffs, v.coeffs
+        d = vc[0] if vc else 0
+        if len(uc) == 1:  # [1, 0]
+            return True
+        if len(uc) == 2:  # u = x + u0: v^2 == f at the root -u0
+            return K._mul(d, d) == raw_eval(K, self._fraw, K._neg(uc[0]))
+        # u = x^2 + a*x + b, v = c*x + d: v^2 == (2cd - a*c^2)*x + d^2 - b*c^2
+        b, a = uc[0], uc[1]
+        c = vc[1] if len(vc) > 1 else 0
+        mul, sub = K._mul, K._sub
+        cc = mul(c, c)
+        return (
+            sub(mul(K._add(c, c), d), mul(a, cc)),
+            sub(mul(d, d), mul(b, cc)),
+        ) == self._f_mod_quadratic(a, b)
+
+    def _f_mod_quadratic(self, a: int, b: int) -> tuple[int, int]:
+        """(r1, r0) with f == r1*x + r0 mod x^2 + a*x + b (Horner, using
+        x^2 == -a*x - b)."""
+        K = self.field
+        mul, sub = K._mul, K._sub
+        r1, r0 = 0, 1  # f is monic of degree 5
+        for fk in self._fraw[4::-1]:
+            r1, r0 = sub(r0, mul(a, r1)), sub(fk, mul(b, r1))
+        return r1, r0
 
     def _require_valid(self, D) -> None:
         if not isinstance(D, MumfordDivisor):
@@ -399,7 +427,11 @@ class HyperellipticCurve:
     ) -> tuple[MumfordDivisor, ...]:
         """Every reduced divisor, in canonical order: [1,0] first, then
         weight 1 following the point order, then weight 2 ordered by the
-        coefficient vectors (u0, u1, v0, v1)."""
+        coefficient vectors (u0, u1, v0, v1).
+
+        Each of the q^2 monic quadratics u gets its v from a quadratic
+        equation in c^2 solved with the square-root table, so the whole
+        enumeration costs O(q^2) field operations."""
         K = self.field
         q = K.q
         self.require_jacobian_budget(budget)
@@ -412,31 +444,40 @@ class HyperellipticCurve:
 
         sqrt = self._sqrt_table()
         add, sub, mul, neg, inv = K._add, K._sub, K._mul, K._neg, K._inv
-        fraw = self._fraw
+        two = add(1, 1)
+        four = add(two, two)
+        fmod = self._f_mod_quadratic
         wrap = self._wrap_divisor
         for b in range(q):  # u0
             for a in range(q):  # u1
-                # f mod (x^2 + a*x + b) via x^k == A_k*x + B_k
-                r1, r0 = 0, fraw[0]
-                Ak, Bk = 1, 0  # k = 1
-                for k in range(1, 6):
-                    fk = 1 if k == 5 else fraw[k]
-                    if fk:
-                        r1 = add(r1, mul(fk, Ak))
-                        r0 = add(r0, mul(fk, Bk))
-                    if k < 5:
-                        Ak, Bk = sub(Bk, mul(a, Ak)), neg(mul(b, Ak))
+                r1, r0 = fmod(a, b)
                 # v = c*x + d with v^2 == f mod u:
-                #   2cd - a c^2 = r1  and  d^2 - b c^2 = r0
+                #   2cd - a*c^2 = r1  and  d^2 - b*c^2 = r0
                 cand = []
                 if r1 == 0:
                     for d in sqrt[r0]:
                         cand.append((d, 0))
-                for c in range(1, q):
-                    cc = mul(c, c)
-                    d = mul(add(r1, mul(a, cc)), inv(add(c, c)))
-                    if sub(mul(d, d), mul(b, cc)) == r0:
-                        cand.append((d, c))
+                # c != 0: d = (r1 + a*C)/(2c) with C = c^2 a root of
+                #   A*C^2 + B*C + r1^2 = 0,  A = a^2 - 4b,  B = 2a*r1 - 4r0,
+                # and every such root C != 0 gives back a solution
+                A = sub(mul(a, a), mul(four, b))
+                B = sub(mul(two, mul(a, r1)), mul(four, r0))
+                rr = mul(r1, r1)
+                if A:
+                    # C = (-B +- sqrt(B^2 - 4*A*r1^2)) / 2A
+                    ia = inv(add(A, A))
+                    disc = sub(mul(B, B), mul(four, mul(A, rr)))
+                    roots = [mul(sub(s, B), ia) for s in sqrt[disc]]
+                elif B:
+                    roots = [neg(mul(rr, inv(B)))]
+                else:
+                    # u = (x + a/2)^2 and f == r1*(x + a/2) mod u, so the
+                    # equation reads r1^2 = 0; r1 = 0 would make u divide
+                    # the squarefree f, hence there is no root
+                    roots = []
+                for C in roots:
+                    for c in sqrt[C] if C else ():
+                        cand.append((mul(add(r1, mul(a, C)), inv(add(c, c))), c))
                 cand.sort()
                 for d, c in cand:
                     out.append(wrap([b, a, 1], [d, c] if c else ([d] if d else [])))

@@ -1,6 +1,8 @@
-"""Curve construction, point enumeration, Cantor arithmetic (the closed-form
-weight-2 path cross-checked against Cantor's algorithm), Jacobian
-enumeration (cross-checked against a naive scan oracle) and budgets."""
+"""Curve construction, point enumeration, divisor validity (the closed form
+cross-checked against polynomial division), Cantor arithmetic (the
+closed-form weight-2 path cross-checked against Cantor's algorithm),
+Jacobian enumeration (cross-checked against naive and O(q^3) scan oracles
+and the zeta-function identity for #J) and budgets."""
 
 import pytest
 
@@ -21,20 +23,21 @@ from xjac.errors import (
     WrongDegreeError,
 )
 from xjac.field import finite_field
-from xjac.poly import Poly, raw_gcd
+from xjac.poly import Poly, raw_divmod, raw_gcd, raw_mul, raw_sub
 from xjac.stats import RandomSource
 
 
 def naive_enumeration(curve):
-    """Oracle: scan every (u, v) shape and keep pairs with u | v^2 - f.
+    """Oracle: scan every (u, v) shape and keep pairs with u | v^2 - f, in
+    the canonical order (weight 1 by the root x = -u0, then y).
 
     Independent of the production enumerator; only shares Poly division.
     """
     K = curve.field
     q = K.q
     out = [(Poly.one(K), Poly.zero(K))]
-    for u0 in range(q):
-        u = Poly(K, (u0, 1))
+    for x in range(q):
+        u = Poly(K, (K.neg(x), 1))
         for v0 in range(q):
             v = Poly(K, (v0,))
             if ((v * v - curve.f) % u).is_zero:
@@ -48,6 +51,77 @@ def naive_enumeration(curve):
                     if ((v * v - curve.f) % u).is_zero:
                         out.append((u, v))
     return out
+
+
+def scan_enumeration(curve):
+    """Oracle: the O(q^3) enumeration that scans every c of v = c*x + d.
+
+    Returns the canonical list of (u, v) coefficient tuples and the set of
+    cases met on the way: "a^2 = 4b" and "r1 = 0" when such a u carries a
+    divisor, "r1 = 0, c != 0" when one of those has c != 0, and
+    "a^2 = 4b, 2a*r1 = 4r0" for any u of that kind (which never carries
+    one)."""
+    K = curve.field
+    q = K.q
+    add, sub, mul, neg, inv = K._add, K._sub, K._mul, K._neg, K._inv
+    f = curve.f.coeffs
+    four = add(add(1, 1), add(1, 1))
+    out = [((1,), ())]
+    for x in range(q):
+        for y in range(q):
+            if mul(y, y) == curve.f(x):
+                out.append(((neg(x), 1), (y,) if y else ()))
+    cases = set()
+    for b in range(q):  # u0
+        for a in range(q):  # u1
+            # f mod (x^2 + a*x + b) via x^k == A_k*x + B_k
+            r1, r0 = 0, f[0]
+            Ak, Bk = 1, 0  # k = 1
+            for k in range(1, 6):
+                r1 = add(r1, mul(f[k], Ak))
+                r0 = add(r0, mul(f[k], Bk))
+                Ak, Bk = sub(Bk, mul(a, Ak)), neg(mul(b, Ak))
+            # v = c*x + d with v^2 == f mod u:
+            #   2cd - a c^2 = r1  and  d^2 - b c^2 = r0
+            cand = []
+            if r1 == 0:
+                cand = [(d, 0) for d in range(q) if mul(d, d) == r0]
+            for c in range(1, q):
+                cc = mul(c, c)
+                d = mul(add(r1, mul(a, cc)), inv(add(c, c)))
+                if sub(mul(d, d), mul(b, cc)) == r0:
+                    cand.append((d, c))
+            cand.sort()
+            square = mul(a, a) == mul(four, b)
+            if square and add(mul(a, r1), mul(a, r1)) == mul(four, r0):
+                cases.add("a^2 = 4b, 2a*r1 = 4r0")
+            if cand and square:
+                cases.add("a^2 = 4b")
+            if cand and r1 == 0:
+                cases.add("r1 = 0")
+                if any(c for _, c in cand):
+                    cases.add("r1 = 0, c != 0")
+            for d, c in cand:
+                out.append(((b, a, 1), (d, c) if c else ((d,) if d else ())))
+    return out, cases
+
+
+def seeded_quintic(K, seed):
+    """A squarefree monic quintic over K with seeded random coefficients."""
+    rng = RandomSource(seed)
+    while True:
+        f = tuple(rng.next_below(K.q) for _ in range(5)) + (1,)
+        try:
+            return HyperellipticCurve(K, f)
+        except NotSquarefreeError:
+            pass
+
+
+def remainder_check(curve, u, v):
+    """Oracle for is_valid_divisor: u | v^2 - f by polynomial division."""
+    K = curve.field
+    diff = raw_sub(K, raw_mul(K, v.coeffs, v.coeffs), curve.f.coeffs)
+    return not raw_divmod(K, diff, u.coeffs)[1]
 
 
 class TestConstruction:
@@ -115,6 +189,74 @@ class TestDivisorValidity:
         assert not c7.is_valid_divisor((Poly(F7, (0, 0, 2)), Poly.zero(F7)))
         assert not c7.is_valid_divisor("nonsense")
         assert not c7.is_valid_divisor((Poly(finite_field(11), (0, 1)), Poly.zero(finite_field(11))))
+
+    def test_closed_form_matches_remainder_every_f7_shape(self, F7, c7):
+        shapes = [(Poly.one(F7), Poly.zero(F7))]
+        for u0 in range(7):
+            for d in range(7):
+                shapes.append((Poly(F7, (u0, 1)), Poly(F7, (d,))))
+        for b in range(7):
+            for a in range(7):
+                for d in range(7):
+                    for c in range(7):
+                        shapes.append((Poly(F7, (b, a, 1)), Poly(F7, (d, c))))
+        answers = set()
+        for u, v in shapes:
+            want = remainder_check(c7, u, v)
+            assert c7.is_valid_divisor(MumfordDivisor(u, v)) == want, (u, v)
+            assert c7.is_valid_divisor((u, v)) == want, (u, v)
+            answers.add(want)
+        assert answers == {True, False}
+
+    @staticmethod
+    def near_misses(curve, divisors, rng):
+        """Each divisor as is, with v shifted in one coefficient, and with
+        a random v of the same shape, so both answers occur."""
+        K = curve.field
+        for i, D in enumerate(divisors):
+            v = list(D.v.coeffs) + [0] * (D.weight - len(D.v.coeffs))
+            if i % 3 == 1:
+                j = rng.next_below(D.weight)
+                v[j] = K.add(v[j], 1 + rng.next_below(K.q - 1))
+            elif i % 3 == 2:
+                v = [rng.next_below(K.q) for _ in v]
+            yield D.u, Poly(K, v)
+
+    def check_random(self, curve, divisors, rng):
+        answers = []
+        for i, (u, v) in enumerate(self.near_misses(curve, divisors, rng)):
+            D = MumfordDivisor(u, v) if i % 2 else (u, v)
+            want = remainder_check(curve, u, v)
+            assert curve.is_valid_divisor(D) == want, (u, v)
+            answers.append(want)
+        assert answers.count(True) > 600 and answers.count(False) > 600
+
+    def test_closed_form_matches_remainder_f81(self):
+        curve = HyperellipticCurve(finite_field(3, 4), "2,40,13,7,29,1")
+        J = [D for D in curve.enumerate_jacobian() if D.weight]
+        rng = RandomSource(81)
+        self.check_random(curve, [J[rng.next_below(len(J))] for _ in range(2000)], rng)
+
+    def test_closed_form_matches_remainder_large_prime(self):
+        p = 1000003  # p == 3 mod 4, so r^((p+1)/4) is a square root
+        curve = HyperellipticCurve(finite_field(p), "5,17,0,3,11,1")
+        rng = RandomSource(p)
+
+        def point():
+            while True:
+                x = rng.next_below(p)
+                r = curve.f(x)
+                if pow(r, (p - 1) // 2, p) == 1:
+                    return curve.divisor_from_point((x, pow(r, (p + 1) // 4, p)))
+
+        divisors = []
+        for i in range(2000):
+            D = point()
+            if i % 4:
+                u, v = curve._cantor_general_raw(*raw_args(D, point()))
+                D = curve._wrap_divisor(u, v)
+            divisors.append(D)
+        self.check_random(curve, divisors, rng)
 
     def test_mumford_shape_enforced(self, F7):
         with pytest.raises(InvalidDivisorError):
@@ -315,17 +457,41 @@ class TestClosedForm:
 
 class TestEnumeration:
     def test_matches_naive_oracle_f7(self, c7):
-        got = [(D.u, D.v) for D in c7.enumerate_jacobian()]
-        assert sorted(
-            ((tuple(u.coeffs), tuple(v.coeffs)) for u, v in got)
-        ) == sorted(
-            ((tuple(u.coeffs), tuple(v.coeffs)) for u, v in naive_enumeration(c7))
-        )
+        got = [(D.u.coeffs, D.v.coeffs) for D in c7.enumerate_jacobian()]
+        assert got == [(u.coeffs, v.coeffs) for u, v in naive_enumeration(c7)]
 
     def test_matches_naive_oracle_f9(self, c9):
         got = {(D.u.coeffs, D.v.coeffs) for D in c9.enumerate_jacobian()}
         want = {(u.coeffs, v.coeffs) for u, v in naive_enumeration(c9)}
         assert got == want
+
+    def test_matches_scan_oracle_in_order(self):
+        """The O(q^2) solve for c^2 against the O(q^3) scan over every c,
+        tuple for tuple, on seeded curves; together the curves reach
+        every case of the solve."""
+        cases = set()
+        for p, n in [(3, 1), (5, 1), (7, 1), (71, 1), (3, 2), (5, 2), (7, 2), (3, 4)]:
+            for seed in range(3 if p ** n < 50 else 1):
+                curve = seeded_quintic(finite_field(p, n), 100 * p + 10 * n + seed)
+                got = [(D.u.coeffs, D.v.coeffs) for D in curve.enumerate_jacobian()]
+                want, met = scan_enumeration(curve)
+                assert got == want, (p, n, curve.f)
+                cases |= met
+        assert cases == {
+            "a^2 = 4b", "r1 = 0", "r1 = 0, c != 0", "a^2 = 4b, 2a*r1 = 4r0"
+        }
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 31, 41])
+    def test_zeta_identity(self, p):
+        """#J = (N1^2 + N2)/2 - q with N1, N2 the projective point counts
+        over F_p and F_p^2: an order check that uses no enumeration."""
+        curve = seeded_quintic(finite_field(p), p)
+        # coefficients below p encode the same constants in F_p^2
+        lifted = HyperellipticCurve(finite_field(p, 2), curve.f.coeffs)
+        n1 = len(curve.points()) + 1
+        n2 = len(lifted.points()) + 1
+        assert curve.jacobian_order() == (n1 * n1 + n2) // 2 - p
+        assert (n1 * n1 + n2) % 2 == 0
 
     def test_orders(self, c7, c9, c11, c13, c27):
         assert c7.jacobian_order() == 50
