@@ -78,7 +78,12 @@ def _decode_poly(curve: HyperellipticCurve, vecs, where: str) -> Poly:
     return Poly(curve.field, coeffs)
 
 
-def serialize(curve: HyperellipticCurve, divisors: Sequence[MumfordDivisor]) -> dict:
+def _divisor_entry(curve: HyperellipticCurve, D: MumfordDivisor) -> list:
+    return [_poly_vectors(curve, D.u), _poly_vectors(curve, D.v)]
+
+
+def _header(curve: HyperellipticCurve, order: int) -> dict:
+    """Every key of the cache file but "divisors"."""
     K = curve.field
     return {
         "version": CACHE_VERSION,
@@ -86,22 +91,42 @@ def serialize(curve: HyperellipticCurve, divisors: Sequence[MumfordDivisor]) -> 
         "n": K.n,
         "modulus": _modulus_string(curve),
         "f": curve.f.to_string(),
-        "order": len(divisors),
+        "order": order,
         "points": [[_coords(curve, P.x), _coords(curve, P.y)] for P in curve.points()],
-        "divisors": [
-            [_poly_vectors(curve, D.u), _poly_vectors(curve, D.v)] for D in divisors
-        ],
     }
 
 
+def serialize(curve: HyperellipticCurve, divisors: Sequence[MumfordDivisor]) -> dict:
+    payload = _header(curve, len(divisors))
+    payload["divisors"] = [_divisor_entry(curve, D) for D in divisors]
+    return payload
+
+
+# divisors per json.dumps call in save(): large enough to amortise the
+# call, small enough that no whole-file string is ever built
+_SAVE_CHUNK = 512
+
+
 def save(cache_dir: str, curve: HyperellipticCurve, divisors: Sequence[MumfordDivisor]) -> str:
-    """Write the enumeration for this curve; returns the file path."""
+    """Write the enumeration for this curve; returns the file path.
+
+    The bytes are those of json.dumps(serialize(...), sort_keys=True,
+    separators=(",", ":")) plus a newline.  "divisors" sorts first, so it
+    is streamed in chunks through the C encoder, and the other keys follow
+    from one dumps call."""
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, curve)
-    payload = serialize(curve, divisors)
+    header = _header(curve, len(divisors))
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write('{"divisors":[')
+        for start in range(0, len(divisors), _SAVE_CHUNK):
+            chunk = [_divisor_entry(curve, D) for D in divisors[start : start + _SAVE_CHUNK]]
+            if start:
+                fh.write(",")
+            fh.write(json.dumps(chunk, separators=(",", ":"))[1:-1])
+        fh.write("],")
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":"))[1:])
         fh.write("\n")
     os.replace(tmp, path)
     return path

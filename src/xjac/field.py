@@ -5,9 +5,10 @@ with coordinates (c_0, ..., c_{n-1}) in the power basis 1, x, ..., x^{n-1}
 is encoded as the integer sum_i c_i * p**i, so the encodings are exactly
 0 .. q-1 with q = p**n.  For n = 1 an element is simply its residue.
 
-Fields with n > 1 and q small enough precompute full operation tables;
-larger fields fall back to digit-vector arithmetic.  Either way the
-observable behaviour is identical.
+Fields with n > 1 and q small enough precompute full operation tables,
+multiplication and inverse from exp/log tables of a primitive element and
+addition digit by digit; larger fields fall back to digit-vector
+arithmetic.  Either way the observable behaviour is identical.
 
 All F_p polynomial arithmetic (modulus search and check, digit-vector
 inverse) goes through the shared poly.raw_* kernels over finite_field(p),
@@ -352,26 +353,37 @@ class FiniteField:
         return [c % p for c in out]
 
     def _bind_table_ops(self):
-        p, n, q = self.p, self.n, self.q
+        p, q = self.p, self.q
         self._xk = self._reduction_rows()
-        dec = [self._vec_decode(a) for a in range(q)]
-        add_t: list[list[int]] = []
-        mul_t: list[list[int]] = []
-        inv_t: list[int | None] = [None] * q
-        for a in range(q):
-            da = dec[a]
-            add_row = [0] * q
-            mul_row = [0] * q
-            for b in range(q):
-                db = dec[b]
-                add_row[b] = self._vec_encode([(x + y) % p for x, y in zip(da, db)])
-                prod = self._vec_encode(self._vec_mul_digits(da, db))
-                mul_row[b] = prod
-                if prod == 1:
-                    inv_t[a] = b
-            add_t.append(add_row)
-            mul_t.append(mul_row)
-        neg_t = [self._vec_encode([-d % p for d in dec[a]]) for a in range(q)]
+
+        # exp/log tables of a primitive element g, found by walking the
+        # powers of each candidate with the digit multiply until one has
+        # order q - 1; exp2 repeats exp so log a + log b needs no modulo
+        for g in range(2, q):
+            dg = self._vec_decode(g)
+            exp, d = [1], dg
+            while (e := self._vec_encode(d)) != 1:
+                exp.append(e)
+                d = self._vec_mul_digits(d, dg)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for i, e in enumerate(exp):
+            log[e] = i
+        exp2 = exp + exp
+        logs = log[1:]
+        mul_t = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        inv_t: list[int | None] = [None] + [exp[-la] for la in logs]
+
+        # base-p addition has no carries: for b = p*d + m (d-major order)
+        # add(a, b) = p * add(a // p, d) + add_p[a % p][m], and the row of
+        # a // p < a is already built
+        add_p = [[(x + y) % p for y in range(p)] for x in range(p)]
+        add_t = [list(range(q))]
+        for a in range(1, q):
+            high, low = add_t[a // p][: q // p], add_p[a % p]
+            add_t.append([p * h + lo for h in high for lo in low])
+        neg_t = [self._vec_encode([-d % p for d in self._vec_decode(a)]) for a in range(q)]
 
         self._add = lambda a, b: add_t[a][b]
         self._mul = lambda a, b: mul_t[a][b]

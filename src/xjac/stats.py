@@ -217,7 +217,11 @@ def monte_carlo_distribution(
     budget: int = 10**6,
 ) -> Tally:
     """Outcome tally over `samples` divisors drawn uniformly (splitmix64
-    stream from `seed`) from the enumerated Jacobian."""
+    stream from `seed`) from the enumerated Jacobian.
+
+    Extractors read only the class, so each drawn class is extracted (and
+    so validated) once per call, the first time it is drawn; later draws
+    of it reuse that outcome index."""
     if not isinstance(samples, int) or samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     J = curve.enumerate_jacobian(budget)
@@ -225,13 +229,15 @@ def monte_carlo_distribution(
     p = curve.field.p
     m = outcome_count(kind, curve.field, k)
     order = len(J)
-    return Tally.from_outcomes(
-        m,
-        (
-            outcome_index(kind, p, extract(curve, J[src.next_below(order)], kind, k))
-            for _ in range(samples)
-        ),
-    )
+    memo: list[int | None] = [None] * order
+    counts: dict[int, int] = {}
+    for _ in range(samples):
+        i = src.next_below(order)
+        idx = memo[i]
+        if idx is None:
+            idx = memo[i] = outcome_index(kind, p, extract(curve, J[i], kind, k))
+        counts[idx] = counts.get(idx, 0) + 1
+    return Tally(m, counts)
 
 
 # -- assembled report ------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from xjac import cache
 from xjac.cache import (
     CACHE_VERSION,
     cache_key,
@@ -12,6 +13,7 @@ from xjac.cache import (
     ensure_jacobian,
     load,
     save,
+    serialize,
 )
 from xjac.curve import HyperellipticCurve
 from xjac.errors import BudgetExceededError, CacheError
@@ -87,6 +89,23 @@ class TestRoundtrip:
         assert len(divisors) == 684
         reloaded = load(str(tmp_path), fresh_curve(p=3, n=3, f="0,1,0,0,0,1"))
         assert reloaded == divisors
+
+    # c27 (684 classes) holds more divisors than one default chunk of 512;
+    # the small chunks split c7 (50) and c9 (F_3^2) evenly and unevenly
+    @pytest.mark.parametrize("name", ["c7", "c9", "c27"])
+    @pytest.mark.parametrize("chunk", [1, 7, 25, None])
+    def test_streamed_bytes_match_one_shot_dumps(
+        self, tmp_path, monkeypatch, request, name, chunk
+    ):
+        curve = request.getfixturevalue(name)
+        divisors = curve.enumerate_jacobian()
+        if chunk is not None:
+            monkeypatch.setattr(cache, "_SAVE_CHUNK", chunk)
+        path = save(str(tmp_path), curve, divisors)
+        want = json.dumps(
+            serialize(curve, divisors), sort_keys=True, separators=(",", ":")
+        ) + "\n"
+        assert open(path, encoding="ascii").read() == want
 
 
 def corrupt(tmp_path, curve, mutate):

@@ -157,6 +157,31 @@ def test_vector_backend_matches_tables():
             assert big.mul(a, big.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 4), (3, 5)])
+def test_table_backend_matches_digit_vectors(p, n):
+    # every add/sub/neg/mul/inv table entry against digit-vector arithmetic,
+    # with products reduced by poly.raw_divmod
+    from xjac.poly import raw_divmod, raw_mul
+
+    K = finite_field(p, n)
+    Fp = finite_field(p)
+    q = K.q
+    dec = [K.coords(a) for a in range(q)]
+    enc = K.from_coords
+    for a in range(q):
+        da = dec[a]
+        assert K.neg(a) == enc([-x % p for x in da])
+        for b in range(q):
+            db = dec[b]
+            assert K.add(a, b) == enc([(x + y) % p for x, y in zip(da, db)])
+            assert K.sub(a, b) == enc([(x - y) % p for x, y in zip(da, db)])
+            assert K.mul(a, b) == enc(raw_divmod(Fp, raw_mul(Fp, da, db), K.modulus)[1])
+        if a:
+            assert K.mul(a, K.inv(a)) == 1
+    with pytest.raises(ZeroDivisionError):
+        K.inv(0)
+
+
 def test_vector_mul_matches_polynomial_product_mod_modulus():
     import random
 

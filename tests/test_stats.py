@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xjac.errors import KOutOfRangeError
-from xjac.extractors import ExtractorKind
+from xjac import stats
+from xjac.curve import HyperellipticCurve, MumfordDivisor
+from xjac.errors import InvalidDivisorError, KOutOfRangeError
+from xjac.extractors import ExtractorKind, extract, outcome_count, outcome_index
+from xjac.field import finite_field
+from xjac.poly import Poly
 from xjac.stats import (
     RandomSource,
     SDReport,
@@ -286,3 +290,79 @@ class TestSDReport:
         rep = sd_report(c7, ExtractorKind.PROD, 1, t, mode="montecarlo", samples=500, seed=9)
         assert rep.mode == "montecarlo"
         assert rep.samples == 500 and rep.seed == 9
+
+
+def per_sample_reference(curve, kind, k, samples, seed):
+    """Monte-Carlo tally with one extract call per sample."""
+    J = curve.enumerate_jacobian()
+    src = RandomSource(seed)
+    p = curve.field.p
+    return Tally.from_outcomes(
+        outcome_count(kind, curve.field, k),
+        (
+            outcome_index(kind, p, extract(curve, J[src.next_below(len(J))], kind, k))
+            for _ in range(samples)
+        ),
+    )
+
+
+# c9 is over F_3^2, where the bit extractors are undefined
+MC_CASES = [(name, kind) for name in ("c7", "c11") for kind in ExtractorKind] + [
+    ("c9", ExtractorKind.SUM),
+    ("c9", ExtractorKind.PROD),
+]
+
+
+class TestMonteCarloMemo:
+    """monte_carlo_distribution extracts each drawn class once per call."""
+
+    @pytest.mark.parametrize("name,kind", MC_CASES)
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_matches_per_sample_reference(self, request, name, kind, seed):
+        curve = request.getfixturevalue(name)
+        order = len(curve.enumerate_jacobian())
+        k = 2 if curve.field.n == 2 else 1
+        for samples in (1, order // 2, 3 * order):
+            got = monte_carlo_distribution(curve, kind, k, samples, seed)
+            want = per_sample_reference(curve, kind, k, samples, seed)
+            assert got == want
+            assert got.total == samples
+            # same first-occurrence order as the per-sample tally
+            assert list(got.counts) == list(want.counts)
+
+    @pytest.mark.parametrize("name", ["c7", "c9", "c27"])
+    def test_extracts_each_drawn_class_once(self, request, monkeypatch, name):
+        curve = request.getfixturevalue(name)
+        J = curve.enumerate_jacobian()
+        calls = []
+
+        def counting_extract(c, D, kind, k):
+            calls.append(D)
+            return extract(c, D, kind, k)
+
+        monkeypatch.setattr(stats, "extract", counting_extract)
+        for samples in (len(J) // 3, 4 * len(J)):
+            calls.clear()
+            monte_carlo_distribution(curve, ExtractorKind.SUM, 1, samples, seed=5)
+            src = RandomSource(5)
+            drawn = {src.next_below(len(J)) for _ in range(samples)}
+            assert len(calls) == len(drawn) <= min(samples, len(J))
+            assert len(set(calls)) == len(calls)
+
+    def test_invalid_class_raises_when_first_drawn(self):
+        curve = HyperellipticCurve(finite_field(7), "1,0,0,0,0,1")
+        K = curve.field
+        J = list(curve.enumerate_jacobian())
+        # u = x^2 + 1, v = 0 does not satisfy v^2 = f mod u over F_7
+        bad = MumfordDivisor(Poly(K, (1, 0, 1)), Poly(K, ()))
+        assert not curve.is_valid_divisor(bad)
+        J[1] = bad
+        curve.preload_enumeration(curve.points(), J)
+        src = RandomSource(3)
+        first = 0
+        while src.next_below(len(J)) != 1:
+            first += 1
+        if first:
+            monte_carlo_distribution(curve, ExtractorKind.SUM, 1, first, seed=3)
+        with pytest.raises(InvalidDivisorError):
+            monte_carlo_distribution(curve, ExtractorKind.SUM, 1, first + 1, seed=3)
