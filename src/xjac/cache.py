@@ -1,20 +1,22 @@
 """On-disk cache for Jacobian enumerations.
 
 One JSON file per curve, keyed by a content hash of (p, n, modulus, f)
-so edited curves never reuse stale data.  Layout:
+so edited curves never reuse stale data.  Layout (version 2):
 
-    {"version": 1, "p": ..., "n": ..., "modulus": "c0,c1,...",
-     "f": "c0,...,c5", "order": ...,
-     "points": [[x, y], ...], "divisors": [[u, v], ...]}
+    {"divisors": [[u, v], ...], "f": "c0,...,c5", "modulus": "c0,c1,...",
+     "n": ..., "order": ..., "p": ..., "version": 2}
 
-where every field-element coordinate is serialized as its coordinate
-vector over F_p (a list of n integers), points are [x, y] pairs of such
-vectors and u, v are lists of coefficient vectors in ascending degree.
+u and v are coefficient lists in ascending degree, each coefficient an
+element encoding in [0, q).  Points are not stored: curve.points()
+recomputes them in O(q).  A version-1 file (coordinate vectors and a
+"points" section) fails the version check, so ensure_jacobian warns,
+recomputes and rewrites it.
 
 Loads are never trusted blindly: a reload must match the curve
-parameters, every point must lie on the curve, every divisor must pass
-is_valid_divisor and the recorded order must equal the divisor count.
-Anything else raises CacheError.
+parameters, every divisor must be canonical, reduced and pass
+is_valid_divisor, [1, 0] must come first with no duplicates, and the
+recorded order must equal the divisor count.  Anything else raises
+CacheError.
 """
 
 from __future__ import annotations
@@ -25,24 +27,25 @@ import os
 import sys
 from typing import Sequence
 
-from .curve import AffinePoint, HyperellipticCurve, MumfordDivisor
+from .curve import HyperellipticCurve, MumfordDivisor
 from .errors import CacheError
+from .field import FiniteField
 from .poly import Poly
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
-def _modulus_string(curve: HyperellipticCurve) -> str:
-    K = curve.field
-    if K.n == 1:
+def modulus_string(field: FiniteField) -> str:
+    """The modulus as "c0,c1,...", or "" for a prime field."""
+    if field.n == 1:
         return ""
-    return ",".join(str(c) for c in K.modulus)
+    return ",".join(str(c) for c in field.modulus)
 
 
 def cache_key(curve: HyperellipticCurve) -> str:
     """Content hash identifying (p, n, modulus, f)."""
     K = curve.field
-    tag = f"p={K.p};n={K.n};modulus={_modulus_string(curve)};f={curve.f.to_string()}"
+    tag = f"p={K.p};n={K.n};modulus={modulus_string(K)};f={curve.f.to_string()}"
     return hashlib.sha256(tag.encode("ascii")).hexdigest()
 
 
@@ -50,36 +53,15 @@ def cache_path(cache_dir: str, curve: HyperellipticCurve) -> str:
     return os.path.join(cache_dir, f"jacobian-{cache_key(curve)[:32]}.json")
 
 
-def _coords(curve: HyperellipticCurve, e: int) -> list[int]:
-    return list(curve.field.coords(e))
-
-
-def _poly_vectors(curve: HyperellipticCurve, P: Poly) -> list[list[int]]:
-    return [_coords(curve, c) for c in P.coeffs]
-
-
-def _decode_element(curve: HyperellipticCurve, vec, where: str) -> int:
-    K = curve.field
+def _decode_poly(K: FiniteField, coeffs, where: str) -> Poly:
     if not (
-        isinstance(vec, list)
-        and len(vec) == K.n
-        and all(isinstance(c, int) and 0 <= c < K.p for c in vec)
+        isinstance(coeffs, list)
+        and all(type(c) is int and 0 <= c < K.q for c in coeffs)
     ):
-        raise CacheError(f"{where}: bad coordinate vector {vec!r}")
-    return K.from_coords(vec)
-
-
-def _decode_poly(curve: HyperellipticCurve, vecs, where: str) -> Poly:
-    if not isinstance(vecs, list):
-        raise CacheError(f"{where}: expected a list of coefficient vectors")
-    coeffs = [_decode_element(curve, v, where) for v in vecs]
+        raise CacheError(f"{where}: {coeffs!r} is not a list of element encodings")
     if coeffs and coeffs[-1] == 0:
         raise CacheError(f"{where}: coefficient list not in canonical form")
-    return Poly(curve.field, coeffs)
-
-
-def _divisor_entry(curve: HyperellipticCurve, D: MumfordDivisor) -> list:
-    return [_poly_vectors(curve, D.u), _poly_vectors(curve, D.v)]
+    return Poly(K, coeffs)
 
 
 def _header(curve: HyperellipticCurve, order: int) -> dict:
@@ -89,16 +71,16 @@ def _header(curve: HyperellipticCurve, order: int) -> dict:
         "version": CACHE_VERSION,
         "p": K.p,
         "n": K.n,
-        "modulus": _modulus_string(curve),
+        "modulus": modulus_string(K),
         "f": curve.f.to_string(),
         "order": order,
-        "points": [[_coords(curve, P.x), _coords(curve, P.y)] for P in curve.points()],
     }
 
 
 def serialize(curve: HyperellipticCurve, divisors: Sequence[MumfordDivisor]) -> dict:
     payload = _header(curve, len(divisors))
-    payload["divisors"] = [_divisor_entry(curve, D) for D in divisors]
+    # coefficient tuples encode as JSON arrays
+    payload["divisors"] = [(D.u.coeffs, D.v.coeffs) for D in divisors]
     return payload
 
 
@@ -121,7 +103,7 @@ def save(cache_dir: str, curve: HyperellipticCurve, divisors: Sequence[MumfordDi
     with open(tmp, "w", encoding="ascii") as fh:
         fh.write('{"divisors":[')
         for start in range(0, len(divisors), _SAVE_CHUNK):
-            chunk = [_divisor_entry(curve, D) for D in divisors[start : start + _SAVE_CHUNK]]
+            chunk = [(D.u.coeffs, D.v.coeffs) for D in divisors[start : start + _SAVE_CHUNK]]
             if start:
                 fh.write(",")
             fh.write(json.dumps(chunk, separators=(",", ":"))[1:-1])
@@ -143,46 +125,29 @@ def load(cache_dir: str, curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...
     except (OSError, ValueError) as exc:
         raise CacheError(f"unreadable cache file {path}: {exc}") from exc
 
-    K = curve.field
-    expected = {
-        "version": CACHE_VERSION,
-        "p": K.p,
-        "n": K.n,
-        "modulus": _modulus_string(curve),
-        "f": curve.f.to_string(),
-    }
+    expected = _header(curve, None)
+    del expected["order"]  # checked against the divisor count below
     for key, want in expected.items():
         if data.get(key) != want:
             raise CacheError(f"cache {path}: field {key!r} is {data.get(key)!r}, expected {want!r}")
 
-    raw_points = data.get("points")
     raw_divisors = data.get("divisors")
     order = data.get("order")
-    if not isinstance(raw_points, list) or not isinstance(raw_divisors, list):
-        raise CacheError(f"cache {path}: points/divisors must be lists")
+    if not isinstance(raw_divisors, list):
+        raise CacheError(f"cache {path}: divisors must be a list")
     if order != len(raw_divisors):
         raise CacheError(
             f"cache {path}: recorded order {order!r} != {len(raw_divisors)} stored divisors"
         )
 
-    points = []
-    for i, item in enumerate(raw_points):
-        if not (isinstance(item, list) and len(item) == 2):
-            raise CacheError(f"cache {path}: points[{i}] is not an [x, y] pair")
-        P = AffinePoint(
-            _decode_element(curve, item[0], f"points[{i}].x"),
-            _decode_element(curve, item[1], f"points[{i}].y"),
-        )
-        if not curve.is_point(P.x, P.y):
-            raise CacheError(f"cache {path}: points[{i}] = {P} is not on the curve")
-        points.append(P)
-
+    K = curve.field
     divisors = []
     for i, item in enumerate(raw_divisors):
         if not (isinstance(item, list) and len(item) == 2):
             raise CacheError(f"cache {path}: divisors[{i}] is not a [u, v] pair")
-        u = _decode_poly(curve, item[0], f"divisors[{i}].u")
-        v = _decode_poly(curve, item[1], f"divisors[{i}].v")
+        u = _decode_poly(K, item[0], f"divisors[{i}].u")
+        v = _decode_poly(K, item[1], f"divisors[{i}].v")
+        # the tuple form also checks the reduced shape MumfordDivisor needs
         if not curve.is_valid_divisor((u, v)):
             raise CacheError(f"cache {path}: divisors[{i}] = [{u}, {v}] is invalid")
         divisors.append(MumfordDivisor(u, v))
@@ -191,7 +156,7 @@ def load(cache_dir: str, curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...
     if len(set(divisors)) != len(divisors):
         raise CacheError(f"cache {path}: duplicate divisors")
 
-    curve.preload_enumeration(points, divisors)
+    curve.preload_enumeration(divisors)
     return tuple(divisors)
 
 

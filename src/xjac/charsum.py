@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -38,7 +38,6 @@ class CharSumReport:
     magnitude: float
     bound: float
     ratio: float
-    params: dict = dc_field(default_factory=dict)
 
 
 class Character:
@@ -106,7 +105,6 @@ def poly_char_sum(field: FiniteField, P: Poly, a: int = 1) -> CharSumReport:
         magnitude=mag,
         bound=bound,
         ratio=mag / bound,
-        params={"p": field.p, "n": field.n, "a": a, "deg": d, "f": P.to_string()},
     )
 
 
@@ -192,7 +190,6 @@ def winterhof_sum(
         magnitude=total,
         bound=float(q),
         ratio=total / q,
-        params={"p": field.p, "n": field.n, "basis": list(subgroup.basis)},
     )
 
 
@@ -214,5 +211,4 @@ def interval_char_sum(p: int, L: int) -> CharSumReport:
         magnitude=total,
         bound=bound,
         ratio=total / bound,
-        params={"p": p, "L": L},
     )

@@ -153,12 +153,6 @@ def build_field(cfg: dict) -> FiniteField:
     return finite_field(p, n)
 
 
-def _modulus_string(field: FiniteField) -> str:
-    if field.n == 1:
-        return ""
-    return ",".join(str(c) for c in field.modulus)
-
-
 def _extractor_kind(name) -> ExtractorKind:
     try:
         return ExtractorKind.from_name(str(name))
@@ -283,7 +277,7 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
         "p": field.p,
         "n": field.n,
         "q": q,
-        "modulus": _modulus_string(field),
+        "modulus": cache.modulus_string(field),
         "f": fstr,
         "affine_points": len(points),
         "jacobian_order": order,
@@ -333,7 +327,7 @@ def _extract_row(
         "p": field.p,
         "n": field.n,
         "q": field.q,
-        "modulus": _modulus_string(field),
+        "modulus": cache.modulus_string(field),
         "f": fstr,
         "jacobian_order": curve.jacobian_order(budget),
         "extractor": kind.value,
@@ -459,15 +453,8 @@ def cmd_charsum(args: argparse.Namespace) -> int:
         elif mode == "mordell":
             est = q**3 * (q - 1)
         else:  # winterhof: one --basis, or every subset of 0..n-1
-            basis_cfg = cfg.get("basis")
-            if basis_cfg is not None:
-                if isinstance(basis_cfg, str):
-                    idx = [int(s) for s in basis_cfg.split(",") if s.strip()]
-                elif isinstance(basis_cfg, list):
-                    idx = [int(s) for s in basis_cfg]
-                else:
-                    raise ConfigError(f"basis must be a comma list, got {basis_cfg!r}")
-                bases = [tuple(sorted(idx))]
+            if cfg.get("basis") is not None:
+                bases = [tuple(sorted(_int_list(cfg, "basis")))]
             else:
                 bases = [
                     tuple(i for i in range(field.n) if mask >> i & 1)
@@ -627,7 +614,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                             "p": field.p,
                             "n": field.n,
                             "q": field.q,
-                            "modulus": _modulus_string(field),
+                            "modulus": cache.modulus_string(field),
                             "f": fstr,
                             "extractor": kind.value,
                             "k": k,
@@ -744,10 +731,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ enumerating the Jacobian solves a quadratic for c^2 per u, O(q^2) in all.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -487,18 +487,12 @@ class HyperellipticCurve:
     def jacobian_order(self, budget: int = DEFAULT_BUDGET) -> int:
         return len(self.enumerate_jacobian(budget))
 
-    def preload_enumeration(
-        self,
-        points: Iterable[AffinePoint],
-        divisors: Sequence[MumfordDivisor] | None = None,
-    ) -> None:
-        """Install previously computed enumeration results (cache loads).
-
-        Callers are expected to have validated the data; see cache.py.
+    def preload_enumeration(self, divisors: Sequence[MumfordDivisor]) -> None:
+        """Install a previously computed enumeration (cache loads); points()
+        stays lazy.  Callers are expected to have validated the data; see
+        cache.py.
         """
-        self._points = tuple(AffinePoint(*P) for P in points)
-        if divisors is not None:
-            self._jacobian = tuple(divisors)
+        self._jacobian = tuple(divisors)
 
     # -- identity -------------------------------------------------------------
 

@@ -240,7 +240,7 @@ class FiniteField:
         "_neg",
         "_inv",
         "_xk",
-        "_trace_t",
+        "_trace_xi",
     )
 
     def __init__(self, p: int, n: int = 1, modulus: Sequence[int] | None = None):
@@ -283,7 +283,7 @@ class FiniteField:
         self.n = n
         self.q = q
         self.modulus = tuple(mod)
-        self._trace_t = None
+        self._trace_xi = None
         self._xk = None
         if n == 1:
             self._bind_prime_ops()
@@ -492,23 +492,31 @@ class FiniteField:
         return self._pow(a, self.p)
 
     def trace(self, a: int) -> int:
-        """Trace to the prime field, returned as a residue in [0, p)."""
+        """Trace to the prime field, returned as a residue in [0, p).
+
+        Tr is F_p-linear, so Tr(a) = sum of a_i * Tr(x^i) over the base-p
+        digits a_i of a; the n values Tr(x^i) are Frobenius sums, computed
+        on first use."""
         self._check(a)
         if self.n == 1:
             return a
-        if self._trace_t is None:
-            tt = [0] * self.q
-            for e in range(self.q):
-                s = x = e
+        p = self.p
+        if self._trace_xi is None:
+            txi = []
+            for i in range(self.n):
+                s = x = p**i  # the encoding of x^i
                 for _ in range(self.n - 1):
-                    x = self._pow(x, self.p)
+                    x = self._pow(x, p)
                     s = self._add(s, x)
-                tt[e] = s
-            self._trace_t = tt
-        t = self._trace_t[a]
-        # trace lands in the prime subfield, whose encodings are 0..p-1
-        assert t < self.p
-        return t
+                # trace lands in the prime subfield, whose encodings are 0..p-1
+                assert s < p
+                txi.append(s)
+            self._trace_xi = txi
+        t = 0
+        for ti in self._trace_xi:
+            t += a % p * ti
+            a //= p
+        return t % p
 
     def coords(self, a: int) -> tuple[int, ...]:
         self._check(a)

@@ -9,7 +9,7 @@ with rejection, so runs are reproducible across platforms from a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -263,7 +263,6 @@ class SDReport:
     envelope: float
     ratio_coords: float | None
     ratio_bits: float | None
-    params: dict = dc_field(default_factory=dict)
 
 
 def sd_report(
@@ -300,5 +299,4 @@ def sd_report(
         envelope=env,
         ratio_coords=(sd / bc) if bc else None,
         ratio_bits=(sd / bb) if bb else None,
-        params={"p": p, "n": n, "q": q, "f": curve.f.to_string()},
     )

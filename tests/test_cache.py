@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -79,16 +80,24 @@ class TestRoundtrip:
     def test_file_is_deterministic(self, tmp_path):
         curve, _ = warm_cache(tmp_path)
         path = cache_path(str(tmp_path), curve)
-        first = open(path, "rb").read()
+        first = Path(path).read_bytes()
         os.remove(path)
         warm_cache(tmp_path)
-        assert open(path, "rb").read() == first
+        assert Path(path).read_bytes() == first
 
     def test_extension_field_roundtrip(self, tmp_path):
         curve, divisors = warm_cache(tmp_path, p=3, n=3, f="0,1,0,0,0,1")
         assert len(divisors) == 684
         reloaded = load(str(tmp_path), fresh_curve(p=3, n=3, f="0,1,0,0,0,1"))
         assert reloaded == divisors
+
+    @pytest.mark.parametrize("name", ["c7", "c9", "c27"])
+    def test_points_recomputed_after_load(self, tmp_path, request, name):
+        curve = request.getfixturevalue(name)
+        save(str(tmp_path), curve, curve.enumerate_jacobian())
+        reloaded = HyperellipticCurve(curve.field, curve.f)
+        assert load(str(tmp_path), reloaded) == curve.enumerate_jacobian()
+        assert reloaded.points() == HyperellipticCurve(curve.field, curve.f).points()
 
     # c27 (684 classes) holds more divisors than one default chunk of 512;
     # the small chunks split c7 (50) and c9 (F_3^2) evenly and unevenly
@@ -105,12 +114,12 @@ class TestRoundtrip:
         want = json.dumps(
             serialize(curve, divisors), sort_keys=True, separators=(",", ":")
         ) + "\n"
-        assert open(path, encoding="ascii").read() == want
+        assert Path(path).read_text(encoding="ascii") == want
 
 
 def corrupt(tmp_path, curve, mutate):
     path = cache_path(str(tmp_path), curve)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     mutate(data)
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -164,29 +173,48 @@ class TestValidation:
     def test_invalid_divisor_rejected(self, tmp_path):
         curve, _ = warm_cache(tmp_path)
         # u = x^2 + 1, v = 0 does not satisfy v^2 = f mod u over F_7
-        bad = [[[1], [0], [1]], []]
+        bad = [[1, 0, 1], []]
         corrupt(tmp_path, curve, lambda d: d["divisors"].__setitem__(1, bad))
         with pytest.raises(CacheError, match="invalid"):
             load(str(tmp_path), fresh_curve())
 
     def test_noncanonical_poly_rejected(self, tmp_path):
         curve, _ = warm_cache(tmp_path)
-        # trailing zero coefficient vector: not the canonical encoding
-        bad = [[[1], [0]], [[0]]]
+        # trailing zero coefficient: not the canonical encoding
+        bad = [[1, 0], [0]]
         corrupt(tmp_path, curve, lambda d: d["divisors"].__setitem__(1, bad))
         with pytest.raises(CacheError):
             load(str(tmp_path), fresh_curve())
 
     def test_element_out_of_range(self, tmp_path):
-        curve, _ = warm_cache(tmp_path)
-        corrupt(tmp_path, curve, lambda d: d["points"].__setitem__(0, [[7], [0]]))
-        with pytest.raises(CacheError, match="points"):
-            load(str(tmp_path), fresh_curve())
+        # a coefficient equal to q, over F_7 and over F_3^3
+        for kw in ({}, {"p": 3, "n": 3, "f": "0,1,0,0,0,1"}):
+            cache_dir = tmp_path / f"q{fresh_curve(**kw).field.q}"
+            curve, divisors = warm_cache(cache_dir, **kw)
+            i = next(i for i, D in enumerate(divisors) if D.weight == 2)
+
+            def mutate(d):
+                d["divisors"][i][0][0] = curve.field.q
+
+            corrupt(cache_dir, curve, mutate)
+            with pytest.raises(CacheError, match=rf"divisors\[{i}\]"):
+                load(str(cache_dir), fresh_curve(**kw))
+
+    def test_coordinate_vector_rejected(self, tmp_path):
+        # the version-1 encoding of an element: a list of F_p coordinates
+        curve, divisors = warm_cache(tmp_path, p=3, n=3, f="0,1,0,0,0,1")
+        D = divisors[1]
+        v1_entry = [[list(curve.field.coords(c)) for c in P.coeffs] for P in (D.u, D.v)]
+        corrupt(tmp_path, curve, lambda d: d["divisors"].__setitem__(1, v1_entry))
+        with pytest.raises(CacheError, match=r"divisors\[1\]"):
+            load(str(tmp_path), fresh_curve(p=3, n=3, f="0,1,0,0,0,1"))
 
     def test_off_curve_point_rejected(self, tmp_path):
         curve, _ = warm_cache(tmp_path)
-        corrupt(tmp_path, curve, lambda d: d["points"].__setitem__(0, [[2], [0]]))
-        with pytest.raises(CacheError, match="not on the curve"):
+        # the weight-1 class of (2, 0): u = x - 2, v = 0, but f(2) = 5 != 0
+        assert not curve.is_point(2, 0)
+        corrupt(tmp_path, curve, lambda d: d["divisors"].__setitem__(1, [[5, 1], []]))
+        with pytest.raises(CacheError, match="invalid"):
             load(str(tmp_path), fresh_curve())
 
     def test_duplicate_divisors_rejected(self, tmp_path):
@@ -212,7 +240,7 @@ class TestRecovery:
     def test_corrupt_cache_recomputed_and_rewritten(self, tmp_path, capsys):
         curve, divisors = warm_cache(tmp_path)
         path = cache_path(str(tmp_path), curve)
-        good = open(path, "rb").read()
+        good = Path(path).read_bytes()
         with open(path, "w") as fh:
             fh.write("garbage")
 
@@ -220,7 +248,33 @@ class TestRecovery:
         assert source == "computed"
         assert out == divisors
         assert "ignoring corrupt cache" in capsys.readouterr().err
-        assert open(path, "rb").read() == good  # rewritten clean
+        assert Path(path).read_bytes() == good  # rewritten clean
+
+    @pytest.mark.parametrize("kw", [{}, {"p": 3, "n": 3, "f": "0,1,0,0,0,1"}])
+    def test_version_1_file_rewritten(self, tmp_path, capsys, kw):
+        curve = fresh_curve(**kw)
+        K, divisors = curve.field, curve.enumerate_jacobian()
+
+        def vecs(P):
+            return [list(K.coords(c)) for c in P.coeffs]
+
+        # the version-1 layout: coordinate vectors and a "points" section
+        v1 = {
+            "version": 1, "p": K.p, "n": K.n, "f": curve.f.to_string(),
+            "modulus": cache.modulus_string(K), "order": len(divisors),
+            "points": [[list(K.coords(P.x)), list(K.coords(P.y))] for P in curve.points()],
+            "divisors": [[vecs(D.u), vecs(D.v)] for D in divisors],
+        }
+        path = Path(cache_path(str(tmp_path), curve))
+        path.write_text(json.dumps(v1, sort_keys=True, separators=(",", ":")) + "\n")
+
+        out, source = ensure_jacobian(fresh_curve(**kw), str(tmp_path), budget=10**6)
+        assert source == "computed"
+        assert out == divisors
+        assert "ignoring corrupt cache" in capsys.readouterr().err
+        rewritten = path.read_bytes()
+        path.unlink()
+        assert rewritten == Path(save(str(tmp_path), curve, divisors)).read_bytes()
 
     def test_budget_checked_before_cache(self, tmp_path):
         warm_cache(tmp_path)

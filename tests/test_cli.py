@@ -197,6 +197,12 @@ class TestCharsum:
         (row,) = rows_of(out)
         assert row["basis"] == "0" and row["status"] == "pass"
 
+    def test_winterhof_non_integer_basis(self, capsys):
+        code, out, err = run(capsys, ["charsum", "--mode", "winterhof", "--p", "3",
+                                      "--n", "3", "--basis", "0,x"])
+        assert code == 2 and out == ""
+        assert "option 'basis' has non-integer entries" in err
+
     def test_interval_rejects_extension_field(self, capsys):
         code, _, _ = run(capsys, ["charsum", "--mode", "interval", "--p", "3",
                                   "--n", "2", "--L", "2"])
@@ -281,6 +287,18 @@ class TestCache:
         code, _, err = run(capsys, [*argv, str(b)])
         assert code == 0 and "cache" in err
         assert a.read_bytes() == b.read_bytes()
+
+    def test_cold_then_warm_montecarlo_extension_field(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ["extract-sd", "--p", "3", "--n", "3", "--f", "0,1,0,0,0,1",
+                "--extractor", "sum", "--k", "2", "--mode", "montecarlo",
+                "--samples", "2000", "--seed", "5", "--cache-dir", str(cache)]
+
+        code, cold, err = run(capsys, argv)
+        assert code == 0 and "enumeration = computed" in err
+        code, warm, err = run(capsys, argv)
+        assert code == 0 and "enumeration = cache" in err
+        assert warm == cold and rows_of(cold)
 
     def test_env_var_fallback(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"

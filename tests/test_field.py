@@ -252,6 +252,19 @@ def test_trace_is_linear_onto_prime_field():
     assert hits == [5, 5, 5, 5, 5]
 
 
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (7, 2), (3, 7)])
+def test_trace_matches_frobenius_sum(p, n):
+    # Tr(a) = a + a^p + ... + a^(p^(n-1)), lying in the prime subfield
+    K = finite_field(p, n)
+    for a in range(K.q):
+        s = x = a
+        for _ in range(n - 1):
+            x = K.frobenius(x)
+            s = K.add(s, x)
+        assert s < p
+        assert K.trace(a) == s
+
+
 def test_coords_roundtrip_bijection():
     K = finite_field(3, 3)
     seen = set()

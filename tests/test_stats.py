@@ -357,7 +357,7 @@ class TestMonteCarloMemo:
         bad = MumfordDivisor(Poly(K, (1, 0, 1)), Poly(K, ()))
         assert not curve.is_valid_divisor(bad)
         J[1] = bad
-        curve.preload_enumeration(curve.points(), J)
+        curve.preload_enumeration(J)
         src = RandomSource(3)
         first = 0
         while src.next_below(len(J)) != 1:
