@@ -10,10 +10,12 @@ for subgroup spans) can be checked against an independent route.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .curve import DEFAULT_BUDGET
 from .errors import (
     BadSubgroupBasisError,
     BudgetExceededError,
@@ -25,12 +27,16 @@ from .errors import (
 from .field import FiniteField
 from .poly import Poly
 
-DEFAULT_BUDGET = 10**6
-
 
 def root_of_unity(p: int, t: int) -> complex:
     """exp(2 pi i t / p)."""
     return cmath.exp(complex(0.0, 2.0 * math.pi * (t % p) / p))
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_roots(p: int) -> tuple[complex, ...]:
+    """root_of_unity(p, t) for t in [0, p), built once per p."""
+    return tuple(root_of_unity(p, t) for t in range(p))
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,7 @@ class Character:
         field._check(a)
         self.field = field
         self.a = a
-        self._roots = [root_of_unity(field.p, t) for t in range(field.p)]
+        self._roots = _unit_roots(field.p)
 
     @property
     def is_trivial(self) -> bool:
@@ -178,7 +184,7 @@ def winterhof_sum(
             f"winterhof sum needs {q * len(V)} character evaluations, "
             f"budget is {budget}"
         )
-    roots = [root_of_unity(field.p, t) for t in range(field.p)]
+    roots = _unit_roots(field.p)
     mul, trace = field._mul, field.trace
     total = 0.0
     for a in range(q):
@@ -200,11 +206,12 @@ def interval_char_sum(p: int, L: int) -> CharSumReport:
         raise LOutOfRangeError(f"p must be a prime >= 3, got {p!r}")
     if not isinstance(L, int) or not 1 <= L <= p:
         raise LOutOfRangeError(f"L must be in [1, {p}], got {L!r}")
+    roots = _unit_roots(p)
     total = 0.0
     for a in range(p):
         s = 0j
         for x in range(L):
-            s += root_of_unity(p, a * x)
+            s += roots[a * x % p]
         total += abs(s)
     bound = p * math.log2(p)
     return CharSumReport(

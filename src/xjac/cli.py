@@ -35,7 +35,7 @@ from .charsum import (
 )
 from .curve import DEFAULT_BUDGET, HyperellipticCurve
 from .errors import BudgetExceededError, ConfigError, NotSquarefreeError
-from .extractors import ExtractorKind
+from .extractors import ExtractorKind, max_k
 from .field import FiniteField, finite_field, is_prime
 from .poly import Poly
 from .stats import (
@@ -84,20 +84,25 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def merged_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    """File values first, explicit flags override, env fills cache_dir."""
-    cfg: dict = {}
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config)
-        for key, val in file_cfg.items():
-            if key not in keys:
-                raise ConfigError(f"config file key {key!r} is not a known option")
-            cfg[key] = val
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if cfg.get("cache_dir") is None:
+def merged_config(args: argparse.Namespace) -> dict:
+    """File values first, explicit flags override, env fills cache_dir.
+
+    The known keys are the subcommand's own option dests; a null value
+    counts as not given."""
+    flags = {
+        key: val for key, val in vars(args).items()
+        if key not in ("command", "func", "config")
+    }
+    file_cfg = _load_config_file(args.config) if args.config else {}
+    for key in file_cfg:
+        if key not in flags:
+            raise ConfigError(f"config file key {key!r} is not a known option")
+    cfg = {key: val for key, val in file_cfg.items() if val is not None}
+    cfg.update((key, val) for key, val in flags.items() if val is not None)
+    for key in ("out", "cache_dir"):
+        if not isinstance(cfg.get(key, ""), str):
+            raise ConfigError(f"option {key!r} must be a path string, got {cfg[key]!r}")
+    if "cache_dir" not in cfg:
         cfg["cache_dir"] = os.environ.get("XJAC_CACHE_DIR") or None
     return cfg
 
@@ -110,46 +115,41 @@ def _require(cfg: dict, key: str):
     return val
 
 
-def _as_int(cfg: dict, key: str, default: int | None = None) -> int | None:
-    val = cfg.get(key, default)
-    if val is None:
-        return None
-    if isinstance(val, bool) or not isinstance(val, int):
-        try:
-            val = int(str(val), 10)
-        except ValueError:
-            raise ConfigError(f"option {key!r} must be an integer, got {val!r}")
-    return val
+def _as_int(
+    cfg: dict, key: str, default: int | None = None, required: bool = False
+) -> int | None:
+    val = _require(cfg, key) if required else cfg.get(key, default)
+    if val is None or (isinstance(val, int) and not isinstance(val, bool)):
+        return val
+    try:
+        return int(str(val), 10)
+    except ValueError:
+        raise ConfigError(f"option {key!r} must be an integer, got {val!r}")
+
+
+def _list(cfg: dict, key: str) -> list:
+    """The items of a comma-separated string or of a JSON list."""
+    val = _require(cfg, key)
+    if isinstance(val, str):
+        return [s for s in val.split(",") if s.strip()]
+    if isinstance(val, list):
+        return val
+    raise ConfigError(f"option {key!r} must be a comma list, got {val!r}")
 
 
 def _int_list(cfg: dict, key: str) -> list[int]:
-    """Comma-separated string (or JSON list) of integers."""
-    val = _require(cfg, key)
-    if isinstance(val, str):
-        items = [s for s in val.split(",") if s.strip()]
-    elif isinstance(val, list):
-        items = val
-    else:
-        raise ConfigError(f"option {key!r} must be a comma list, got {val!r}")
+    items = _list(cfg, key)
     try:
-        return [int(str(s).strip(), 10) for s in items]
+        return [int(str(s), 10) for s in items]
     except ValueError:
-        raise ConfigError(f"option {key!r} has non-integer entries: {val!r}")
+        raise ConfigError(f"option {key!r} has non-integer entries: {cfg[key]!r}")
 
 
 def build_field(cfg: dict) -> FiniteField:
-    p = _as_int(cfg, "p")
-    if p is None:
-        raise ConfigError("missing required option --p")
+    p = _as_int(cfg, "p", required=True)
     n = _as_int(cfg, "n", 1)
-    modulus = cfg.get("modulus")
-    if modulus is not None:
-        if isinstance(modulus, str):
-            try:
-                modulus = tuple(int(s.strip(), 10) for s in modulus.split(","))
-            except ValueError:
-                raise ConfigError(f"modulus {modulus!r} is not a comma list of integers")
-        return FiniteField(p, n, tuple(modulus))
+    if "modulus" in cfg:
+        return FiniteField(p, n, tuple(_int_list(cfg, "modulus")))
     return finite_field(p, n)
 
 
@@ -161,19 +161,11 @@ def _extractor_kind(name) -> ExtractorKind:
 
 
 def _check_extractor_fits(kind: ExtractorKind, field: FiniteField, k: int) -> None:
-    if kind.is_bitwise:
-        if field.n != 1:
-            raise ConfigError(
-                f"extractor {kind.value} needs a prime field, got n = {field.n}"
-            )
-        if k < 1 or 2**k > field.p:
-            raise ConfigError(
-                f"k = {k} out of range for {kind.value}: need 1 <= k, 2**k <= p"
-            )
-    elif k < 1 or k > field.n:
-        raise ConfigError(
-            f"k = {k} out of range for {kind.value}: need 1 <= k <= n = {field.n}"
-        )
+    if kind.is_bitwise and field.n != 1:
+        raise ConfigError(f"extractor {kind.value} needs a prime field, got n = {field.n}")
+    top = max_k(kind, field)
+    if not 1 <= k <= top:
+        raise ConfigError(f"k = {k} out of range for {kind.value}: need 1 <= k <= {top}")
 
 
 # -- report rendering ----------------------------------------------------------
@@ -237,10 +229,47 @@ def _note(msg: str) -> None:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _curve_row(command: str, curve: HyperellipticCurve, prefix: str, suffix: str = "") -> dict:
+    """The columns that name one curve's experiment: schema, command,
+    experiment_id (prefix, field and f, suffix), p, n, q, modulus, f."""
+    field = curve.field
+    fstr = curve.f.to_string()
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": command,
+        "experiment_id": f"{prefix}-p{field.p}-n{field.n}-f{fstr.replace(',', '.')}{suffix}",
+        "p": field.p,
+        "n": field.n,
+        "q": field.q,
+        "modulus": cache.modulus_string(field),
+        "f": fstr,
+    }
+
+
+def _extract_cell(
+    command: str,
+    curve: HyperellipticCurve,
+    kind: ExtractorKind,
+    k: int,
+    mode: str = "exact",
+    samples: int | None = None,
+    seed: int | None = None,
+) -> dict:
+    """Identity columns of one extract-sd cell, computed or budget_exceeded."""
+    suffix = f"-{kind.value}-k{k}-{mode}"
+    if mode == "montecarlo":
+        suffix += f"-N{samples}-s{seed}"
+    return _curve_row(command, curve, "extract-sd", suffix) | {
+        "extractor": kind.value,
+        "k": k,
+        "mode": mode,
+        "samples": samples,
+        "seed": seed,
+    }
+
+
 def cmd_jacobian(args: argparse.Namespace) -> int:
-    cfg = merged_config(
-        args, ["p", "n", "modulus", "f", "out", "format", "cache_dir", "budget"]
-    )
+    cfg = merged_config(args)
     budget = _as_int(cfg, "budget", DEFAULT_BUDGET)
     field = build_field(cfg)
     curve = HyperellipticCurve(field, str(_require(cfg, "f")))
@@ -248,7 +277,6 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     divisors, source = cache.ensure_jacobian(curve, cfg.get("cache_dir"), budget)
     order = len(divisors)
-    points = curve.points()
     lo, hi = curve.weil_interval()
 
     # seeded group-law spot checks: commutativity, closure, identity, inverse
@@ -269,17 +297,8 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
 
     q = field.q
     weil_ok = lo <= order <= hi
-    fstr = curve.f.to_string()
-    row = {
-        "schema": SCHEMA_VERSION,
-        "command": "jacobian",
-        "experiment_id": f"jacobian-p{field.p}-n{field.n}-f{fstr.replace(',', '.')}",
-        "p": field.p,
-        "n": field.n,
-        "q": q,
-        "modulus": cache.modulus_string(field),
-        "f": fstr,
-        "affine_points": len(points),
+    row = _curve_row("jacobian", curve, "jacobian") | {
+        "affine_points": len(curve.points()),
         "jacobian_order": order,
         "weil_low": lo,
         "weil_high": hi,
@@ -307,62 +326,26 @@ def _extract_row(
     command: str,
 ) -> dict:
     """Shared by extract-sd and sweep; assumes the enumeration is loaded."""
-    field = curve.field
     if mode == "exact":
         tally = exact_output_distribution(curve, kind, k, budget)
     else:
         tally = monte_carlo_distribution(curve, kind, k, samples, seed, budget)
     rep = sd_report(curve, kind, k, tally, mode=mode, samples=samples, seed=seed)
-    fstr = curve.f.to_string()
-    ident = (
-        f"extract-sd-p{field.p}-n{field.n}-f{fstr.replace(',', '.')}"
-        f"-{kind.value}-k{k}-{mode}"
+    return (
+        _extract_cell(command, curve, kind, k, mode, samples, seed)
+        | {"jacobian_order": curve.jacobian_order(budget)}
+        | vars(rep)
+        | {"status": "ok"}
     )
-    if mode == "montecarlo":
-        ident += f"-N{samples}-s{seed}"
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "experiment_id": ident,
-        "p": field.p,
-        "n": field.n,
-        "q": field.q,
-        "modulus": cache.modulus_string(field),
-        "f": fstr,
-        "jacobian_order": curve.jacobian_order(budget),
-        "extractor": kind.value,
-        "k": k,
-        "m": rep.m,
-        "mode": mode,
-        "samples": samples,
-        "seed": seed,
-        "sd": rep.sd,
-        "col": rep.col,
-        "sd_sqrt_q": rep.sd_sqrt_q,
-        "bound_coords": rep.bound_coords,
-        "bound_bits": rep.bound_bits,
-        "envelope": rep.envelope,
-        "ratio_coords": rep.ratio_coords,
-        "ratio_bits": rep.ratio_bits,
-        "status": "ok",
-    }
 
 
 def cmd_extract_sd(args: argparse.Namespace) -> int:
-    cfg = merged_config(
-        args,
-        [
-            "p", "n", "modulus", "f", "extractor", "k", "mode", "samples",
-            "seed", "out", "format", "cache_dir", "budget",
-        ],
-    )
+    cfg = merged_config(args)
     budget = _as_int(cfg, "budget", DEFAULT_BUDGET)
     field = build_field(cfg)
     curve = HyperellipticCurve(field, str(_require(cfg, "f")))
     kind = _extractor_kind(_require(cfg, "extractor"))
-    k = _as_int(cfg, "k")
-    if k is None:
-        raise ConfigError("missing required option --k")
+    k = _as_int(cfg, "k", required=True)
     _check_extractor_fits(kind, field, k)
     mode = cfg.get("mode") or "exact"
     if mode not in ("exact", "montecarlo"):
@@ -395,19 +378,14 @@ def _charsum_budget_check(mode: str, est: int, budget: int) -> None:
 
 
 def cmd_charsum(args: argparse.Namespace) -> int:
-    cfg = merged_config(
-        args,
-        ["p", "n", "modulus", "mode", "basis", "L", "out", "format", "cache_dir", "budget"],
-    )
+    cfg = merged_config(args)
     mode = _require(cfg, "mode")
     if mode not in CHARSUM_MODES:
         raise ConfigError(
             f"charsum mode must be one of {', '.join(CHARSUM_MODES)}, got {mode!r}"
         )
     budget = _as_int(cfg, "budget", DEFAULT_BUDGET)
-    p = _as_int(cfg, "p")
-    if p is None:
-        raise ConfigError("missing required option --p")
+    p = _as_int(cfg, "p", required=True)
 
     rows: list[dict] = []
     base = {
@@ -434,14 +412,11 @@ def cmd_charsum(args: argparse.Namespace) -> int:
         for L in Ls:
             rep = interval_char_sum(p, L)
             rows.append(
-                base | {
+                base | vars(rep) | {
                     "experiment_id": f"charsum-interval-p{p}-L{L}",
                     "n": 1,
                     "q": p,
                     "L": L,
-                    "magnitude": rep.magnitude,
-                    "bound": rep.bound,
-                    "ratio": rep.ratio,
                     "status": "pass" if rep.magnitude <= rep.bound + 1e-9 else "fail",
                 }
             )
@@ -453,7 +428,7 @@ def cmd_charsum(args: argparse.Namespace) -> int:
         elif mode == "mordell":
             est = q**3 * (q - 1)
         else:  # winterhof: one --basis, or every subset of 0..n-1
-            if cfg.get("basis") is not None:
+            if "basis" in cfg:
                 bases = [tuple(sorted(_int_list(cfg, "basis")))]
             else:
                 bases = [
@@ -490,17 +465,14 @@ def cmd_charsum(args: argparse.Namespace) -> int:
                         rep = poly_char_sum(field, P, a)
                         gauss_ok = abs(rep.magnitude - root_q) <= 1e-6 * root_q
                         rows.append(
-                            base | {
+                            base | vars(rep) | {
                                 "experiment_id": (
                                     f"charsum-mordell-p{field.p}-n{field.n}"
                                     f"-u{pstr.replace(',', '.')}-a{a}"
                                 ),
                                 "a": a,
                                 "poly": pstr,
-                                "magnitude": rep.magnitude,
                                 "expected": root_q,
-                                "bound": rep.bound,
-                                "ratio": rep.ratio,
                                 "status": "pass"
                                 if (gauss_ok and rep.magnitude <= rep.bound)
                                 else "fail",
@@ -512,15 +484,12 @@ def cmd_charsum(args: argparse.Namespace) -> int:
                 dev = abs(rep.magnitude - q)
                 bstr = ";".join(map(str, basis))
                 rows.append(
-                    base | {
+                    base | vars(rep) | {
                         "experiment_id": (
                             f"charsum-winterhof-p{field.p}-n{field.n}-basis{bstr or 'none'}"
                         ),
                         "basis": bstr,
-                        "magnitude": rep.magnitude,
                         "expected": float(q),
-                        "bound": rep.bound,
-                        "ratio": rep.ratio,
                         "status": "pass" if dev <= 1e-6 * q else "fail",
                     }
                 )
@@ -553,27 +522,17 @@ def _resolve_template(field: FiniteField, template: str, c: int | None) -> Hyper
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = merged_config(
-        args,
-        ["p", "n", "f", "extractor", "k", "c", "out", "format", "cache_dir", "budget"],
-    )
+    cfg = merged_config(args)
     budget = _as_int(cfg, "budget", DEFAULT_BUDGET)
     n = _as_int(cfg, "n", 1)
     ps = _int_list(cfg, "p")
     template = str(_require(cfg, "f"))
-
-    ext_cfg = _require(cfg, "extractor")
-    ext_items = (
-        [s for s in ext_cfg.split(",") if s.strip()]
-        if isinstance(ext_cfg, str)
-        else list(ext_cfg)
-    )
-    kinds = [_extractor_kind(s) for s in ext_items]
-    ks = _int_list(cfg, "k") if cfg.get("k") is not None else [1]
+    kinds = [_extractor_kind(s) for s in _list(cfg, "extractor")]
+    ks = _int_list(cfg, "k") if "k" in cfg else [1]
 
     cs: list[int | None]
-    if cfg.get("c") is not None:
-        cs = list(_int_list(cfg, "c"))
+    if "c" in cfg:
+        cs = _int_list(cfg, "c")
         if len(cs) != len(ps):
             raise ConfigError(
                 f"--c needs one value per p: got {len(cs)} for {len(ps)} primes"
@@ -599,28 +558,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             cache.ensure_jacobian(curve, cfg.get("cache_dir"), budget)
         except BudgetExceededError:
-            fstr = curve.f.to_string()
             for kind in kinds:
                 for k in ks:
                     warnings += 1
                     rows.append(
-                        {
-                            "schema": SCHEMA_VERSION,
-                            "command": "sweep",
-                            "experiment_id": (
-                                f"extract-sd-p{field.p}-n{field.n}"
-                                f"-f{fstr.replace(',', '.')}-{kind.value}-k{k}-exact"
-                            ),
-                            "p": field.p,
-                            "n": field.n,
-                            "q": field.q,
-                            "modulus": cache.modulus_string(field),
-                            "f": fstr,
-                            "extractor": kind.value,
-                            "k": k,
-                            "mode": "exact",
-                            "status": "budget_exceeded",
-                        }
+                        _extract_cell("sweep", curve, kind, k)
+                        | {"status": "budget_exceeded"}
                     )
             continue
         for kind in kinds:

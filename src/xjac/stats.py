@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .curve import HyperellipticCurve
+from .curve import DEFAULT_BUDGET, HyperellipticCurve
 from .errors import BudgetExceededError, KOutOfRangeError
 from .extractors import ExtractorKind, extract, outcome_count, outcome_index
 
@@ -197,7 +197,7 @@ def exact_output_distribution(
     curve: HyperellipticCurve,
     kind: ExtractorKind,
     k: int,
-    budget: int = 10**6,
+    budget: int = DEFAULT_BUDGET,
 ) -> Tally:
     """Outcome tally of an extractor over every divisor class."""
     J = curve.enumerate_jacobian(budget)
@@ -214,7 +214,7 @@ def monte_carlo_distribution(
     k: int,
     samples: int,
     seed: int,
-    budget: int = 10**6,
+    budget: int = DEFAULT_BUDGET,
 ) -> Tally:
     """Outcome tally over `samples` divisors drawn uniformly (splitmix64
     stream from `seed`) from the enumerated Jacobian.

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from xjac.cli import main
+from xjac.cli import build_parser, main
 
 
 def run(capsys, argv):
@@ -345,6 +345,69 @@ class TestConfigFile:
         code, _, _ = run(capsys, ["extract-sd", "--config",
                                   str(tmp_path / "nope.json")])
         assert code == 2
+
+    # every option of each subcommand, set through the config file alone
+    FULL = {
+        "jacobian": {"p": 3, "n": 2, "modulus": "2,2,1", "f": "1,0,0,0,0,1"},
+        "extract-sd": {"p": 3, "n": 2, "modulus": [2, 2, 1], "f": "1,0,0,0,0,1",
+                       "extractor": "sum", "k": 2, "mode": "montecarlo",
+                       "samples": 50, "seed": 3},
+        "charsum": {"p": 3, "n": 2, "modulus": "2,2,1", "mode": "winterhof",
+                    "basis": "0", "L": 2},
+        "sweep": {"p": [7, 11], "n": 1, "f": "1,c,0,0,0,1",
+                  "extractor": ["sum", "sk"], "k": "1", "c": "0,1"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(FULL))
+    def test_every_option_dest_is_a_config_key(self, capsys, tmp_path, command):
+        dests = set(vars(build_parser().parse_args([command])))
+        cfg = self.FULL[command] | {
+            "out": str(tmp_path / "report.json"),
+            "format": "json",
+            "cache_dir": str(tmp_path / "cache"),
+            "budget": 10**6,
+        }
+        assert set(cfg) == dests - {"command", "func", "config"}
+        path = tmp_path / "all.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, [command, "--config", str(path)])
+        assert code == 0, err
+        assert out == ""
+        assert json.loads((tmp_path / "report.json").read_text())["rows"]
+
+    @pytest.mark.parametrize("command", sorted(FULL))
+    @pytest.mark.parametrize("key", ["config", "bogus"])
+    def test_config_and_unknown_keys_rejected(self, capsys, tmp_path, command, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(self.FULL[command] | {key: "x"}))
+        code, out, err = run(capsys, [command, "--config", str(path)])
+        assert code == 2 and out == ""
+        assert f"config file key {key!r} is not a known option" in err
+
+    def test_null_value_counts_as_not_given(self, capsys, tmp_path):
+        path = tmp_path / "nulls.json"
+        path.write_text(json.dumps(
+            {"p": 7, "n": None, "f": "1,0,0,0,0,1", "budget": None, "out": None}
+        ))
+        code, out, _ = run(capsys, ["jacobian", "--config", str(path)])
+        assert code == 0
+        assert out == run(capsys, ["jacobian", *F7_ARGS])[1]
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("sweep", "extractor", 5),
+            ("jacobian", "modulus", 5),
+            ("jacobian", "cache_dir", 5),
+            ("jacobian", "out", 5),
+        ],
+    )
+    def test_wrong_typed_value_is_config_error(self, capsys, tmp_path, command, key, value):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(self.FULL[command] | {key: value}))
+        code, out, err = run(capsys, [command, "--config", str(path)])
+        assert code == 2 and out == ""
+        assert f"error: option {key!r} must be" in err
 
 
 class TestOutputFormats:
