@@ -18,14 +18,13 @@ from .extractors import (
     extract_sum,
     extract_sum_bits,
 )
-from .field import FieldElement, FiniteField, find_irreducible, finite_field, is_prime
+from .field import FiniteField, find_irreducible, finite_field, is_prime
 from .poly import Poly
 from .stats import RandomSource, Tally
 
 __all__ = [
     "AffinePoint",
     "ExtractorKind",
-    "FieldElement",
     "FiniteField",
     "HyperellipticCurve",
     "MumfordDivisor",

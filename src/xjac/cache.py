@@ -28,7 +28,7 @@ import sys
 from typing import Sequence
 
 from .curve import HyperellipticCurve, MumfordDivisor
-from .errors import CacheError
+from .errors import CacheError, InvalidDivisorError
 from .field import FiniteField
 from .poly import Poly
 
@@ -147,10 +147,13 @@ def load(cache_dir: str, curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...
             raise CacheError(f"cache {path}: divisors[{i}] is not a [u, v] pair")
         u = _decode_poly(K, item[0], f"divisors[{i}].u")
         v = _decode_poly(K, item[1], f"divisors[{i}].v")
-        # the tuple form also checks the reduced shape MumfordDivisor needs
-        if not curve.is_valid_divisor((u, v)):
-            raise CacheError(f"cache {path}: divisors[{i}] = [{u}, {v}] is invalid")
-        divisors.append(MumfordDivisor(u, v))
+        try:
+            D = MumfordDivisor(u, v)
+        except InvalidDivisorError as exc:
+            raise CacheError(f"cache {path}: divisors[{i}] is not reduced: {exc}") from exc
+        if not curve.is_valid_divisor(D):
+            raise CacheError(f"cache {path}: divisors[{i}] = {D} is invalid")
+        divisors.append(D)
     if not divisors or not divisors[0].is_zero:
         raise CacheError(f"cache {path}: enumeration must start with [1, 0]")
     if len(set(divisors)) != len(divisors):

@@ -25,7 +25,7 @@ from .errors import (
     TrivialCharacterError,
 )
 from .field import FiniteField
-from .poly import Poly
+from .poly import Poly, raw_eval
 
 
 def root_of_unity(p: int, t: int) -> complex:
@@ -47,23 +47,34 @@ class CharSumReport:
 
 
 class Character:
-    """Additive character psi_a of a finite field, callable on encodings."""
+    """Additive character psi_a of a finite field, callable on encodings.
 
-    __slots__ = ("field", "a", "_roots")
+    x -> Tr(a x) is F_p-linear, so Tr(a x) is the dot product of the
+    base-p digits of x with the n values Tr(a x^i), kept from
+    construction; an evaluation does no field multiply."""
+
+    __slots__ = ("field", "a", "_roots", "_trace_axi")
 
     def __init__(self, field: FiniteField, a: int):
         field._check(a)
         self.field = field
         self.a = a
-        self._roots = _unit_roots(field.p)
+        p = field.p
+        self._roots = _unit_roots(p)
+        # p**i is the encoding of x^i
+        self._trace_axi = tuple(field.trace(field._mul(a, p**i)) for i in range(field.n))
 
     @property
     def is_trivial(self) -> bool:
         return self.a == 0
 
     def __call__(self, x: int) -> complex:
-        K = self.field
-        return self._roots[K.trace(K._mul(self.a, x))]
+        p = self.field.p
+        t = 0
+        for ti in self._trace_axi:
+            t += x % p * ti
+            x //= p
+        return self._roots[t % p]
 
     def __repr__(self):
         return f"psi_{self.a} on {self.field!r}"
@@ -84,9 +95,10 @@ def poly_char_sum_value(field: FiniteField, P: Poly, a: int = 1) -> complex:
         raise FieldMismatchError(f"P is over {P.field!r}, not {field!r}")
     field._check(a)
     psi = Character(field, a)
+    coeffs = P.coeffs
     s = 0j
     for x in range(field.q):
-        s += psi(P(x))
+        s += psi(raw_eval(field, coeffs, x))
     return s
 
 
@@ -184,13 +196,12 @@ def winterhof_sum(
             f"winterhof sum needs {q * len(V)} character evaluations, "
             f"budget is {budget}"
         )
-    roots = _unit_roots(field.p)
-    mul, trace = field._mul, field.trace
     total = 0.0
     for a in range(q):
+        psi = Character(field, a)
         s = 0j
         for x in V:
-            s += roots[trace(mul(a, x))]
+            s += psi(x)
         total += abs(s)
     return CharSumReport(
         magnitude=total,

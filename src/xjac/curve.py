@@ -199,20 +199,12 @@ class HyperellipticCurve:
         return MumfordDivisor(Poly(K, (K._neg(x), 1)), Poly(K, (y,)))
 
     def is_valid_divisor(self, D) -> bool:
-        """True when D is a reduced Mumford representative on this curve."""
-        if isinstance(D, MumfordDivisor):
-            u, v = D.u, D.v
-        else:
-            try:
-                u, v = D
-            except (TypeError, ValueError):
-                return False
-            if not isinstance(u, Poly) or not isinstance(v, Poly):
-                return False
-            if u.field != v.field or not u.is_monic or u.degree > 2:
-                return False
-            if v.degree >= u.degree:
-                return False
+        """True when D is a MumfordDivisor over this curve's field with
+        u | v^2 - f; anything else, tuples included, is False.  The
+        reduced shape is already enforced by MumfordDivisor itself."""
+        if not isinstance(D, MumfordDivisor):
+            return False
+        u, v = D.u, D.v
         if u.field != self.field:
             return False
         K = self.field
@@ -243,8 +235,6 @@ class HyperellipticCurve:
         return r1, r0
 
     def _require_valid(self, D) -> None:
-        if not isinstance(D, MumfordDivisor):
-            raise InvalidDivisorError(f"{D!r} is not a MumfordDivisor")
         if not self.is_valid_divisor(D):
             raise InvalidDivisorError(f"{D!r} is not a divisor on {self!r}")
 

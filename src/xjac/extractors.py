@@ -77,7 +77,7 @@ def max_k(kind: ExtractorKind, field: FiniteField) -> int:
 def _scalar_value(curve: HyperellipticCurve, D: MumfordDivisor, product: bool) -> int:
     """Field element an extractor reads off D: the sum or the product of
     the x-coordinates in its support (0 for the neutral class)."""
-    if not isinstance(D, MumfordDivisor) or not curve.is_valid_divisor(D):
+    if not curve.is_valid_divisor(D):
         raise InvalidDivisorError(f"{D!r} is not a divisor on {curve!r}")
     K = curve.field
     w = D.weight

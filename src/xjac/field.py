@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     EvenCharacteristicError,
-    FieldMismatchError,
     NonElementError,
     NotIrreducibleError,
     NotMonicError,
@@ -114,119 +113,12 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("unreachable: irreducibles exist for every degree")
 
 
-class FieldElement:
-    """Ergonomic wrapper around an integer-encoded element.
-
-    Plain ints mix freely with elements and are always interpreted as
-    encodings (for n = 1 that is the residue itself).
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: "FiniteField", value: int):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            f = other.field
-            if f is not self.field and f != self.field:
-                raise FieldMismatchError(
-                    f"operands from different fields: {self.field!r} vs {f!r}"
-                )
-            return other.value
-        if isinstance(other, int):
-            self.field._check(other)
-            return other
-        return NotImplemented
-
-    def _wrap(self, v: int) -> "FieldElement":
-        return FieldElement(self.field, v)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.field._add(self.value, o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.field._sub(self.value, o))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.field._sub(o, self.value))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.field._mul(self.value, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.field._mul(self.value, self.field._inv(o)))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.field._mul(o, self.field._inv(self.value)))
-
-    def __neg__(self):
-        return self._wrap(self.field._neg(self.value))
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        return self._wrap(self.field._pow(self.value, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.q, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.field.coords(self.value)
-
-    def trace(self) -> int:
-        return self.field.trace(self.value)
-
-    def frobenius(self) -> "FieldElement":
-        return self._wrap(self.field.frobenius(self.value))
-
-    def __repr__(self):
-        return f"F{self.field.q}({self.value})"
-
-
 class FiniteField:
     """F_{p^n}, p an odd prime, as F_p[x]/(modulus).
 
     The default modulus is find_irreducible(p, n), so two fields built
     from the same (p, n) agree element-for-element.  Operations take and
-    return int encodings; element() wraps them as FieldElement.
+    return int encodings; there is no element wrapper type.
     """
 
     __slots__ = (
@@ -532,26 +424,6 @@ class FiniteField:
             if not isinstance(d, int) or not 0 <= d < self.p:
                 raise NonElementError(f"coordinate {d!r} is not in [0, {self.p})")
         return self._vec_encode(ds)
-
-    def element(self, v) -> FieldElement:
-        if isinstance(v, FieldElement):
-            if v.field != self:
-                raise FieldMismatchError(f"{v!r} is not an element of {self!r}")
-            return v
-        if isinstance(v, int):
-            self._check(v)
-            return FieldElement(self, v)
-        return FieldElement(self, self.from_coords(v))
-
-    __call__ = element
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
 
     def elements(self) -> range:
         """All element encodings in ascending order."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import BothZeroError, FieldMismatchError, NonElementError
-from .field import FieldElement, FiniteField
+from .field import FiniteField
 
 Raw = list  # low-degree-first list of element encodings, no trailing zeros
 
@@ -157,22 +157,12 @@ class Poly:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: FiniteField, coeffs: Sequence = ()):
+    def __init__(self, field: FiniteField, coeffs: Sequence[int] = ()):
         if not isinstance(field, FiniteField):
             raise TypeError(f"expected a FiniteField, got {field!r}")
-        cs = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise FieldMismatchError(
-                        f"coefficient {c!r} is not an element of {field!r}"
-                    )
-                cs.append(c.value)
-            elif isinstance(c, int):
-                field._check(c)
-                cs.append(c)
-            else:
-                raise NonElementError(f"bad coefficient {c!r}")
+        cs = list(coeffs)
+        for c in cs:
+            field._check(c)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "field", field)
@@ -248,7 +238,7 @@ class Poly:
                     f"{self.field!r} vs {other.field!r}"
                 )
             return other
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, int):
             return Poly(self.field, (other,))
         return None
 
@@ -317,12 +307,8 @@ class Poly:
                 base = base * base
         return acc
 
-    def __call__(self, x):
-        """Evaluate; FieldElement in -> FieldElement out, int in -> int out."""
-        if isinstance(x, FieldElement):
-            if x.field != self.field:
-                raise FieldMismatchError(f"{x!r} is not in {self.field!r}")
-            return FieldElement(self.field, raw_eval(self.field, self.coeffs, x.value))
+    def __call__(self, x: int) -> int:
+        """Evaluate at the element encoding x."""
         self.field._check(x)
         return raw_eval(self.field, self.coeffs, x)
 

@@ -250,6 +250,29 @@ class TestRecovery:
         assert "ignoring corrupt cache" in capsys.readouterr().err
         assert Path(path).read_bytes() == good  # rewritten clean
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[1, 2], []],        # u = 2x + 1 is not monic
+            [[1, 0, 0, 1], []],  # deg u = 3 is not reduced
+            [[5, 1], [1, 1]],    # deg v = deg u = 1
+        ],
+        ids=["non-monic-u", "deg-u-3", "deg-v-not-below-deg-u"],
+    )
+    def test_shape_violation_recomputed_and_rewritten(self, tmp_path, capsys, bad):
+        curve, divisors = warm_cache(tmp_path)
+        path = cache_path(str(tmp_path), curve)
+        good = Path(path).read_bytes()
+        corrupt(tmp_path, curve, lambda d: d["divisors"].__setitem__(1, bad))
+        with pytest.raises(CacheError, match=r"divisors\[1\]"):
+            load(str(tmp_path), fresh_curve())
+
+        out, source = ensure_jacobian(fresh_curve(), str(tmp_path), budget=10**6)
+        assert source == "computed"
+        assert out == divisors
+        assert "ignoring corrupt cache" in capsys.readouterr().err
+        assert Path(path).read_bytes() == good
+
     @pytest.mark.parametrize("kw", [{}, {"p": 3, "n": 3, "f": "0,1,0,0,0,1"}])
     def test_version_1_file_rewritten(self, tmp_path, capsys, kw):
         curve = fresh_curve(**kw)

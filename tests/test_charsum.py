@@ -2,12 +2,14 @@
 subgroup duality sums and incomplete interval sums."""
 
 import math
+import random
 
 import pytest
 
 from xjac.charsum import (
     AdditiveSubgroup,
     Character,
+    _unit_roots,
     interval_char_sum,
     orthogonality_sum,
     poly_char_sum,
@@ -46,6 +48,28 @@ def test_character_is_multiplicative_on_addition():
         for x in range(K.q):
             for y in range(K.q):
                 assert psi(K.add(x, y)) == pytest.approx(psi(x) * psi(y), abs=1e-9)
+
+
+def psi_by_field_ops(K, a, x):
+    """psi_a(x) the direct way: one field multiply, then the trace."""
+    return _unit_roots(K.p)[K.trace(K._mul(a, x))]
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (3, 3), (5, 2)])
+def test_character_matches_field_ops_everywhere(p, n):
+    K = finite_field(p, n)
+    for a in range(K.q):
+        psi = Character(K, a)
+        for x in range(K.q):
+            assert psi(x) == psi_by_field_ops(K, a, x), (a, x)
+
+
+def test_character_matches_field_ops_vector_backend():
+    K = finite_field(3, 7)  # above the table limit: digit-vector arithmetic
+    rng = random.Random(2187)
+    for _ in range(2000):
+        a, x = rng.randrange(K.q), rng.randrange(K.q)
+        assert Character(K, a)(x) == psi_by_field_ops(K, a, x), (a, x)
 
 
 def test_character_triviality_flag(F7):

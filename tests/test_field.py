@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from xjac.errors import (
     EvenCharacteristicError,
-    FieldMismatchError,
     NonElementError,
     NotIrreducibleError,
     NotMonicError,
     NotPrimeError,
     WrongDegreeError,
 )
-from xjac.field import FieldElement, FiniteField, find_irreducible, finite_field, is_prime
+from xjac.field import FiniteField, find_irreducible, finite_field, is_prime
 
 
 SMALL_FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4)]
@@ -279,37 +278,6 @@ def test_coords_roundtrip_bijection():
 def test_elements_iterates_all_encodings():
     K = finite_field(3, 2)
     assert list(K.elements()) == list(range(9))
-
-
-class TestFieldElement:
-    def test_arithmetic_and_repr(self, F7):
-        a = F7.element(3)
-        b = F7.element(5)
-        assert (a + b).value == 1
-        assert (a - b).value == 5
-        assert (a * b).value == 1
-        assert (a / b).value == (3 * pow(5, -1, 7)) % 7
-        assert (-a).value == 4
-        assert (a**3).value == 27 % 7
-        assert repr(a) == "F7(3)"
-
-    def test_int_coercion_validates(self, F7):
-        a = F7.element(3)
-        assert (a + 4).value == 0  # ints are read as encodings
-        with pytest.raises(NonElementError):
-            a + 11
-        with pytest.raises(NonElementError):
-            a * (-1)
-
-    def test_foreign_element_rejected(self, F7, F11):
-        with pytest.raises(FieldMismatchError):
-            F7.element(3) + F11.element(3)
-
-    def test_extension_element_helpers(self, F9):
-        x = F9.element(3)  # the generator: coords (0, 1)
-        assert x.coords == (0, 1)
-        assert x.trace() == 0
-        assert x.frobenius().value == F9.pow(3, 3)
 
 
 class TestConstructionErrors:

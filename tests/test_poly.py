@@ -122,8 +122,6 @@ def test_eval_is_ring_homomorphism(K):
 def test_eval_type_follows_argument(K):
     f = Poly(K, (1, 1))
     assert f(3) == 4
-    e = f(K.element(3))
-    assert e.value == 4 and e.field is K
 
 
 def test_derivative(K):
