@@ -13,7 +13,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .curve import DEFAULT_BUDGET
 from .errors import (
@@ -46,12 +46,24 @@ class CharSumReport:
     ratio: float
 
 
+@functools.lru_cache(maxsize=16)
+def _trace_xk(field: FiniteField) -> tuple[int, ...]:
+    """Tr(x^k) for k in [0, 2n - 1), built once per field."""
+    x = field.p % field.q  # the encoding of x (0 when n = 1: the modulus is x)
+    out, xk = [], 1
+    for _ in range(2 * field.n - 1):
+        out.append(field.trace(xk))
+        xk = field._mul(xk, x)
+    return tuple(out)
+
+
 class Character:
     """Additive character psi_a of a finite field, callable on encodings.
 
     x -> Tr(a x) is F_p-linear, so Tr(a x) is the dot product of the
     base-p digits of x with the n values Tr(a x^i), kept from
-    construction; an evaluation does no field multiply."""
+    construction; an evaluation does no field multiply.  Neither does
+    construction: with a = sum_j a_j x^j, Tr(a x^i) = sum_j a_j Tr(x^(i+j))."""
 
     __slots__ = ("field", "a", "_roots", "_trace_axi")
 
@@ -61,14 +73,23 @@ class Character:
         self.a = a
         p = field.p
         self._roots = _unit_roots(p)
-        # p**i is the encoding of x^i
-        self._trace_axi = tuple(field.trace(field._mul(a, p**i)) for i in range(field.n))
+        txk = _trace_xk(field)
+        digits = field._vec_decode(a)
+        self._trace_axi = tuple(
+            sum(aj * txk[i + j] for j, aj in enumerate(digits)) % p
+            for i in range(field.n)
+        )
 
     @property
     def is_trivial(self) -> bool:
         return self.a == 0
 
     def __call__(self, x: int) -> complex:
+        self.field._check(x)
+        return self._eval(x)
+
+    def _eval(self, x: int) -> complex:
+        """psi_a(x) for an x known to be an element encoding."""
         p = self.field.p
         t = 0
         for ti in self._trace_axi:
@@ -82,23 +103,28 @@ class Character:
 
 def orthogonality_sum(field: FiniteField, a: int) -> complex:
     """sum_x psi_a(x); q for the trivial character, 0 otherwise."""
-    psi = Character(field, a)
+    psi = Character(field, a)._eval
     s = 0j
     for x in range(field.q):
         s += psi(x)
     return s
 
 
+@functools.lru_cache(maxsize=1)
+def _poly_values(field: FiniteField, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """P(x) for every x in F_q, kept for the last P: the mordell rows ask
+    for every a in turn with the same P."""
+    return tuple(raw_eval(field, coeffs, x) for x in range(field.q))
+
+
 def poly_char_sum_value(field: FiniteField, P: Poly, a: int = 1) -> complex:
     """sum_x psi_a(P(x)) as a bare complex number, any a (including 0)."""
     if P.field != field:
         raise FieldMismatchError(f"P is over {P.field!r}, not {field!r}")
-    field._check(a)
-    psi = Character(field, a)
-    coeffs = P.coeffs
+    psi = Character(field, a)._eval
     s = 0j
-    for x in range(field.q):
-        s += psi(raw_eval(field, coeffs, x))
+    for v in _poly_values(field, P.coeffs):
+        s += psi(v)
     return s
 
 
@@ -198,7 +224,7 @@ def winterhof_sum(
         )
     total = 0.0
     for a in range(q):
-        psi = Character(field, a)
+        psi = Character(field, a)._eval
         s = 0j
         for x in V:
             s += psi(x)
@@ -210,20 +236,34 @@ def winterhof_sum(
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _interval_sums(p: int) -> tuple[list[complex], list[float]]:
+    """Running state of the interval sums for p, shared by every L: the
+    partial sums s_a = sum_{x<m} e_p(a x) for each a, and totals[L - 1] =
+    sum_a |s_a| for every L <= m reached so far."""
+    return [0j] * p, []
+
+
 def interval_char_sum(p: int, L: int) -> CharSumReport:
     """T = sum over all a in F_p of |sum_{x=0}^{L-1} e_p(a x)|, with the
-    classical p * log2(p) envelope for incomplete geometric sums."""
+    classical p * log2(p) envelope for incomplete geometric sums.
+
+    A call only extends the running sums of p up to L, adding the terms in
+    the order of the direct per-L loop, so a sweep over every L costs p^2
+    additions and each total is the same float as that loop's."""
     if not isinstance(p, int) or p < 2:
         raise LOutOfRangeError(f"p must be a prime >= 3, got {p!r}")
     if not isinstance(L, int) or not 1 <= L <= p:
         raise LOutOfRangeError(f"L must be in [1, {p}], got {L!r}")
+    sums, totals = _interval_sums(p)
     roots = _unit_roots(p)
-    total = 0.0
-    for a in range(p):
-        s = 0j
-        for x in range(L):
-            s += roots[a * x % p]
-        total += abs(s)
+    for x in range(len(totals), L):
+        sums[:] = [s + roots[a * x % p] for a, s in enumerate(sums)]
+        t = 0.0
+        for s in sums:
+            t += abs(s)
+        totals.append(t)
+    total = totals[L - 1]
     bound = p * math.log2(p)
     return CharSumReport(
         magnitude=total,

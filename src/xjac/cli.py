@@ -196,13 +196,28 @@ def render_csv(columns: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+# indent=2 makes json.dumps fall back to the pure-Python encoder, so a
+# row goes through the C encoder with indent=2's separators instead: for a
+# flat dict that gives indent=2's bytes except the line breaks after "{"
+# and before "}", which render_json adds with the nesting around the rows
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def render_json(command: str, columns: list[str], rows: list[dict]) -> str:
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "rows": [{col: _json_value(row.get(col)) for col in columns} for row in rows],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """json.dumps({"schema", "command", "rows"}, sort_keys=True, indent=2)
+    plus a newline, byte for byte; columns is non-empty."""
+    encode = _ROW_ENCODER.encode
+    body = ",\n    ".join(
+        "{\n      "
+        + encode({col: _json_value(row.get(col)) for col in columns})[1:-1]
+        + "\n    }"
+        for row in rows
+    )
+    rows_text = f"[\n    {body}\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "command": {json.dumps(command)},\n  "rows": {rows_text},\n'
+        f'  "schema": {json.dumps(SCHEMA_VERSION)}\n}}\n'
+    )
 
 
 def emit_report(cfg: dict, command: str, columns: list[str], rows: list[dict]) -> None:
@@ -408,7 +423,8 @@ def cmd_charsum(args: argparse.Namespace) -> int:
             raise ConfigError(f"p = {p} is not prime")
         L_single = _as_int(cfg, "L")
         Ls = [L_single] if L_single is not None else list(range(1, p + 1))
-        _charsum_budget_check(mode, p * sum(Ls), budget)
+        # the running sums cost p terms per L up to the largest L
+        _charsum_budget_check(mode, p * max(Ls), budget)
         for L in Ls:
             rep = interval_char_sum(p, L)
             rows.append(

@@ -329,7 +329,8 @@ class FiniteField:
     # -- public operations ----------------------------------------------------
 
     def _check(self, a) -> None:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        # type(), not isinstance(): a bool is an int but not an encoding
+        if type(a) is not int or not 0 <= a < self.q:
             raise NonElementError(f"{a!r} is not an element encoding of {self!r}")
 
     def add(self, a: int, b: int) -> int:

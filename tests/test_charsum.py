@@ -9,6 +9,7 @@ import pytest
 from xjac.charsum import (
     AdditiveSubgroup,
     Character,
+    _interval_sums,
     _unit_roots,
     interval_char_sum,
     orthogonality_sum,
@@ -24,10 +25,11 @@ from xjac.errors import (
     DegreeTooHighError,
     FieldMismatchError,
     LOutOfRangeError,
+    NonElementError,
     TrivialCharacterError,
 )
 from xjac.field import finite_field
-from xjac.poly import Poly
+from xjac.poly import Poly, raw_eval
 
 PRIMES_TO_101 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -70,6 +72,30 @@ def test_character_matches_field_ops_vector_backend():
     for _ in range(2000):
         a, x = rng.randrange(K.q), rng.randrange(K.q)
         assert Character(K, a)(x) == psi_by_field_ops(K, a, x), (a, x)
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (3, 3), (5, 2), (3, 4)])
+def test_trace_axi_matches_field_multiply(p, n):
+    K = finite_field(p, n)
+    for a in range(K.q):
+        want = tuple(K.trace(K.mul(a, p**i)) for i in range(n))
+        assert Character(K, a)._trace_axi == want, a
+
+
+def test_trace_axi_matches_field_multiply_vector_backend():
+    K = finite_field(3, 7)
+    rng = random.Random(37)
+    for _ in range(2000):
+        a = rng.randrange(K.q)
+        want = tuple(K.trace(K.mul(a, 3**i)) for i in range(7))
+        assert Character(K, a)._trace_axi == want, a
+
+
+@pytest.mark.parametrize("x", [9, 100, -1, True, 1.0, "1", None])
+def test_character_rejects_non_elements(x):
+    psi = Character(finite_field(3, 2), 1)
+    with pytest.raises(NonElementError):
+        psi(x)
 
 
 def test_character_triviality_flag(F7):
@@ -137,6 +163,19 @@ class TestPolySums:
     def test_field_mismatch(self, F7, F11):
         with pytest.raises(FieldMismatchError):
             poly_char_sum(F7, Poly(F11, (0, 1)), 1)
+
+    @pytest.mark.parametrize("p,n", [(5, 1), (3, 2)])
+    def test_value_matches_direct_evaluation(self, p, n):
+        # polynomials interleaved, so no two consecutive calls share P
+        K = finite_field(p, n)
+        quads = [Poly(K, (c0, c1, 1)) for c0 in range(K.q) for c1 in range(K.q)]
+        for a in range(K.q):
+            psi = Character(K, a)
+            for P in quads:
+                want = 0j
+                for x in range(K.q):
+                    want += psi(raw_eval(K, P.coeffs, x))
+                assert poly_char_sum_value(K, P, a) == want, (P.coeffs, a)
 
     def test_value_allows_trivial_character(self, F7):
         v = poly_char_sum_value(F7, Poly(F7, (0, 0, 1)), 0)
@@ -226,6 +265,34 @@ class TestIntervalSums:
         assert interval_char_sum(101, 50).magnitude == pytest.approx(
             246.48050588370646, rel=1e-9
         )
+
+    def test_same_floats_as_direct_loop_in_any_call_order(self):
+        def direct(p, L):
+            roots = [root_of_unity(p, t) for t in range(p)]
+            total = 0.0
+            for a in range(p):
+                s = 0j
+                for x in range(L):
+                    s += roots[a * x % p]
+                total += abs(s)
+            return total
+
+        primes = (3, 7, 13, 31, 127)
+        want = {(p, L): direct(p, L) for p in primes for L in range(1, p + 1)}
+        rng = random.Random(331)
+        for p in primes:
+            Ls = list(range(1, p + 1))
+            shuffled = rng.sample(Ls, p)
+            for order in (Ls, Ls[::-1], shuffled):
+                _interval_sums.cache_clear()
+                for L in order:
+                    assert interval_char_sum(p, L).magnitude == want[p, L], (p, L)
+        # two primes interleaved share no state
+        _interval_sums.cache_clear()
+        for L in rng.sample(range(1, 32), 31):
+            for p in (31, 13):
+                if L <= p:
+                    assert interval_char_sum(p, L).magnitude == want[p, L], (p, L)
 
     def test_full_interval_is_exactly_p(self):
         # only a = 0 survives when the inner sum runs over all of F_p

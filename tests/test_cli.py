@@ -8,7 +8,8 @@ import os
 
 import pytest
 
-from xjac.cli import build_parser, main
+from xjac import cli
+from xjac.cli import SCHEMA_VERSION, _json_value, build_parser, main, render_json
 
 
 def run(capsys, argv):
@@ -22,6 +23,16 @@ def rows_of(text):
 
 
 F7_ARGS = ["--p", "7", "--f", "1,0,0,0,0,1"]
+
+
+def json_reference(command, columns, rows):
+    """The JSON report the direct way: one json.dumps with indent=2."""
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "command": command,
+        "rows": [{col: _json_value(row.get(col)) for col in columns} for row in rows],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class TestJacobian:
@@ -202,6 +213,14 @@ class TestCharsum:
                                       "--n", "3", "--basis", "0,x"])
         assert code == 2 and out == ""
         assert "option 'basis' has non-integer entries" in err
+
+    def test_interval_budget_charges_the_largest_L(self, capsys):
+        # p * max(L) = 331^2 fits the default 10^6; 1009^2 does not
+        code, out, _ = run(capsys, ["charsum", "--mode", "interval", "--p", "331"])
+        assert code == 0 and len(rows_of(out)) == 331
+        code, out, err = run(capsys, ["charsum", "--mode", "interval", "--p", "1009"])
+        assert code == 3 and out == ""
+        assert "needs about 1018081 character evaluations" in err
 
     def test_interval_rejects_extension_field(self, capsys):
         code, _, _ = run(capsys, ["charsum", "--mode", "interval", "--p", "3",
@@ -437,6 +456,44 @@ class TestOutputFormats:
         data = out_file.read_bytes()
         assert b"\r" not in data
         assert data.endswith(b"\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["jacobian", *F7_ARGS],
+        ["extract-sd", *F7_ARGS, "--extractor", "sk", "--k", "1"],
+        ["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1", "--extractor",
+         "sum", "--k", "1", "--mode", "montecarlo", "--samples", "500", "--seed", "3"],
+        ["sweep", "--p", "7,13", "--c", "0,2", "--f", "1,c,0,0,0,1",
+         "--extractor", "sum,pk", "--k", "1", "--budget", "180"],
+        ["charsum", "--mode", "interval", "--p", "13"],
+        ["charsum", "--mode", "orthogonality", "--p", "3", "--n", "2"],
+        ["charsum", "--mode", "mordell", "--p", "5"],
+        ["charsum", "--mode", "winterhof", "--p", "3", "--n", "2"],
+    ], ids=["jacobian", "extract-exact", "extract-mc", "sweep", "interval",
+            "orthogonality", "mordell", "winterhof"])
+    def test_render_json_matches_indent_2(self, capsys, monkeypatch, argv):
+        seen = []
+        emit = cli.emit_report
+
+        def record(cfg, command, columns, rows):
+            seen.append((command, columns, rows))
+            emit(cfg, command, columns, rows)
+
+        monkeypatch.setattr(cli, "emit_report", record)
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        ((command, columns, rows),) = seen
+        assert rows
+        assert out == render_json(command, columns, rows) == json_reference(command, columns, rows)
+
+    def test_render_json_synthetic_values(self):
+        columns = ["s", "nan", "pinf", "ninf", "none", "yes", "no", "i", "x", "missing"]
+        row = {"s": 'q"uo\\te \u00e9\u4e2d\n\t', "nan": math.nan, "pinf": math.inf,
+               "ninf": -math.inf, "none": None, "yes": True, "no": False,
+               "i": -12, "x": 0.1}
+        text = render_json("charsum", columns, [row, dict(row, s="")])
+        assert text == json_reference("charsum", columns, [row, dict(row, s="")])
+        assert "NaN" in text and "-Infinity" in text and "\\u00e9" in text
+        assert render_json("sweep", columns, []) == json_reference("sweep", columns, [])
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 2

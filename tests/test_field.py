@@ -317,6 +317,14 @@ class TestConstructionErrors:
         with pytest.raises(ZeroDivisionError):
             F7.inv(0)
 
+    def test_bool_is_not_an_element(self, F7):
+        with pytest.raises(NonElementError):
+            F7.add(True, 1)
+        with pytest.raises(NonElementError):
+            F7.mul(2, False)
+        with pytest.raises(NonElementError):
+            finite_field(3, 2).neg(True)
+
     def test_field_identity(self):
         assert finite_field(3, 2) == finite_field(3, 2)
         assert finite_field(3, 2) is finite_field(3, 2)  # cached

@@ -38,6 +38,8 @@ def test_string_roundtrip(K):
         Poly.from_string(K, "1,7")
     with pytest.raises(NonElementError):
         Poly.from_string(K, "1,x")
+    with pytest.raises(NonElementError):
+        Poly(K, [True, 2])  # would print as "True,2"
 
 
 def test_constructors(K):
