@@ -14,6 +14,14 @@ closed-form formulas with one field inversion (Cantor, Math. Comp. 48,
 sum has weight below 2, goes through Cantor's composition and reduction,
 which is also the oracle the tests check the formulas against.
 
+The closed form exists twice, line for line the same: _weight2_prime_raw
+on plain ints with % p for prime fields, and _weight2_raw through the
+field's operations for extension fields, whose elements are encodings
+that + and * do not act on.  The prime copy is there for large-q scalar
+multiplication (at p = 1000003 every composition takes the closed form),
+where a function call per field operation cost more than the arithmetic;
+each curve picks its copy once, from the field's degree.
+
 Validity and enumeration work from f mod u: with u = x^2 + a*x + b,
 f == r1*x + r0 and v = c*x + d, u | v^2 - f reads 2cd - a*c^2 = r1 and
 d^2 - b*c^2 = r0, so checking a divisor costs O(1) field operations and
@@ -125,7 +133,7 @@ class HyperellipticCurve:
     """y^2 = f(x) with monic squarefree f of degree 5 over an odd-
     characteristic field."""
 
-    __slots__ = ("field", "f", "_fraw", "_sqrt", "_points", "_jacobian")
+    __slots__ = ("field", "f", "_fraw", "_weight2", "_sqrt", "_points", "_jacobian")
 
     def __init__(self, field: FiniteField, f):
         if isinstance(f, str):
@@ -143,6 +151,14 @@ class HyperellipticCurve:
         self.field = field
         self.f = f
         self._fraw = list(f.coeffs)
+        # the closed form _cantor_raw uses, fixed by the field; a function,
+        # not a bound method, which would tie the curve (and its cached
+        # enumeration) into a reference cycle that outlives its last use
+        self._weight2 = (
+            HyperellipticCurve._weight2_prime_raw
+            if field.n == 1
+            else HyperellipticCurve._weight2_raw
+        )
         self._sqrt = None
         self._points = None
         self._jacobian = None
@@ -244,7 +260,7 @@ class HyperellipticCurve:
         """One group operation on raw lists: the closed-form weight-2 add
         or double when it applies, Cantor's algorithm otherwise."""
         if len(u1) == 3 and len(u2) == 3:
-            out = self._weight2_raw(u1, v1, u2, v2)
+            out = self._weight2(self, u1, v1, u2, v2)
             if out is not None:
                 return out
         return self._cantor_general_raw(u1, v1, u2, v2)
@@ -252,6 +268,8 @@ class HyperellipticCurve:
     def _weight2_raw(self, u1, v1, u2, v2) -> tuple[list, list] | None:
         """Closed-form sum of two weight-2 classes, or None when the
         generic formulas do not apply (Cantor 1987; Lange, AAECC 15, 2005).
+        Serves extension fields; prime fields use _weight2_prime_raw, the
+        same formulas on plain ints.
 
         With s = s1*x + s0 the linear polynomial that makes V = v1 + s*u1
         agree with v2 mod u2 (add) or satisfy V^2 == f mod u1^2 (double),
@@ -324,6 +342,78 @@ class HyperellipticCurve:
         if R1:
             return [e0, e1, 1], [neg(R0), neg(R1)]
         return [e0, e1, 1], [neg(R0)] if R0 else []
+
+    def _weight2_prime_raw(self, u1, v1, u2, v2) -> tuple[list, list] | None:
+        """_weight2_raw over a prime field F_p: the same formulas, names and
+        None cases line for line, on plain ints with + - * inline.  % p is
+        taken where a value must be canonical (before a zero test, before
+        the inversion, on the outputs) and on s1, s0 and 1/s1^2 after the
+        inversion, which keeps the products that follow from growing.  A
+        K._add/_sub/_mul call per operation cost more than the arithmetic;
+        extension-field elements are encodings, so they keep _weight2_raw."""
+        p = self.field.p
+        a0, a1, _ = u1
+        b0 = v1[0] if v1 else 0
+        b1 = v1[1] if len(v1) > 1 else 0
+        double = u1 == u2 and v1 == v2
+        if double:
+            # s = ((f - v^2)/u) * (2v)^-1 mod u; k = (f - v^2)/u, then k mod u
+            f = self._fraw
+            k2 = f[4] - a1
+            k1 = f[3] - a0 - a1 * k2
+            k0 = f[2] - b1 * b1 - a1 * k1 - a0 * k2
+            t = k2 - a1
+            w1 = k1 - a0 - t * a1
+            w0 = k0 - t * a0
+            # invert v mod u below; the factor 2 goes into r
+            c1, c0, z1, z0 = a1, a0, b1, b0
+            m3 = a1 + a1
+            m2 = a1 * a1 + a0 + a0
+        else:
+            # s = (v2 - v1) * u1^-1 mod u2
+            c0, c1 = u2[0], u2[1]
+            z1, z0 = a1 - c1, a0 - c0
+            d0 = v2[0] if v2 else 0
+            d1 = v2[1] if len(v2) > 1 else 0
+            w1, w0 = d1 - b1, d0 - b0
+            m3 = a1 + c1
+            m2 = a0 + c0 + a1 * c1
+        # (z1*x + z0)^-1 == (-z1*x + z0 - c1*z1)/r mod x^2 + c1*x + c0
+        c1z1 = c1 * z1
+        r = (z0 * z0 - c1z1 * z0 + c0 * z1 * z1) % p
+        if not r:
+            return None
+        if double:
+            r = r + r
+        y1, y0 = -z1, z0 - c1z1
+        # s * r = w * y mod u2
+        w1y1 = w1 * y1
+        s1 = (w1 * y0 + w0 * y1 - c1 * w1y1) % p
+        if not s1:
+            return None
+        s0 = w0 * y0 - c0 * w1y1
+        inv = pow(r * s1 % p, -1, p)  # 1/(r*s1)
+        ir = inv * s1  # 1/r
+        s1, s0 = s1 * ir % p, s0 * ir % p
+        is1 = r * r * inv  # 1/s1
+        is1sq = is1 * is1 % p
+        V3 = s1
+        V2 = s0 + s1 * a1
+        V1 = s0 * a1 + s1 * a0 + b1
+        V0 = s0 * a0 + b0
+        # top coefficients of V^2 - f (f is monic); its quotient by u1*u2
+        # is s1^2 * u'
+        n5 = (V3 + V3) * V2 - 1
+        n4 = V2 * V2 + (V3 + V3) * V1 - self._fraw[4]
+        e1 = (n5 * is1sq - m3) % p
+        e0 = (n4 * is1sq - m2 - e1 * m3) % p
+        # v' = -(V mod x^2 + e1*x + e0)
+        t2 = V2 - V3 * e1
+        R1 = (V1 - V3 * e0 - t2 * e1) % p
+        R0 = (V0 - t2 * e0) % p
+        if R1:
+            return [e0, e1, 1], [-R0 % p, -R1 % p]
+        return [e0, e1, 1], [-R0 % p] if R0 else []
 
     def _cantor_general_raw(self, u1, v1, u2, v2) -> tuple[list, list]:
         """Cantor's composition + reduction on raw lists, for any inputs."""

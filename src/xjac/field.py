@@ -155,7 +155,7 @@ class FiniteField:
 
             mod = list(modulus)
             for c in mod:
-                if not isinstance(c, int) or not 0 <= c < p:
+                if type(c) is not int or not 0 <= c < p:
                     raise NonElementError(
                         f"modulus coefficient {c!r} is not in [0, {p})"
                     )
@@ -422,7 +422,7 @@ class FiniteField:
                 f"got {len(ds)} coordinates for an extension of degree {self.n}"
             )
         for d in ds:
-            if not isinstance(d, int) or not 0 <= d < self.p:
+            if type(d) is not int or not 0 <= d < self.p:
                 raise NonElementError(f"coordinate {d!r} is not in [0, {self.p})")
         return self._vec_encode(ds)
 

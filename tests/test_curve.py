@@ -347,19 +347,47 @@ def general_calls(monkeypatch):
     return calls, original
 
 
+def weight2_class(curve):
+    """The sum of the curve's two points with the smallest x, on a prime
+    field with p = 3 mod 4 (so sqrt(r) = r^((p+1)/4))."""
+    p = curve.field.p
+    points = []
+    x = 0
+    while len(points) < 2:
+        r = curve.f(x)
+        if r and pow(r, (p - 1) // 2, p) == 1:
+            points.append(curve.divisor_from_point((x, pow(r, (p + 1) // 4, p))))
+        x += 1
+    G = curve.cantor_add(*points)
+    assert G.weight == 2
+    return G
+
+
 class TestClosedForm:
     """_cantor_raw's closed-form weight-2 add and double against Cantor's
-    algorithm (_cantor_general_raw), which stays the fallback."""
+    algorithm (_cantor_general_raw), which stays the fallback; on prime
+    fields the plain-int formula also against the generic one."""
 
     def check_pairs(self, curve, pairs):
         closed = 0
+        prime = curve.field.n == 1
         for A, B in pairs:
             args = raw_args(A, B)
             want = curve._cantor_general_raw(*args)
             assert curve._cantor_raw(*args) == want, (A, B)
-            if A.weight == B.weight == 2 and curve._weight2_raw(*args):
-                closed += 1
+            if A.weight == B.weight == 2:
+                out = curve._weight2(curve, *args)  # the form _cantor_raw takes
+                if prime:
+                    # equal values, and None on the same inputs
+                    assert out == curve._weight2_raw(*args), (A, B)
+                if out is not None:
+                    assert out == want, (A, B)
+                    closed += 1
         return closed
+
+    def test_closed_form_follows_field(self, c7, c9):
+        assert c7._weight2 is HyperellipticCurve._weight2_prime_raw
+        assert c9._weight2 is HyperellipticCurve._weight2_raw
 
     @pytest.mark.parametrize("name", ["c7", "c9"])
     def test_every_pair_and_doubling(self, name, request):
@@ -369,12 +397,22 @@ class TestClosedForm:
         assert self.check_pairs(curve, pairs) > len(J)
 
     @pytest.mark.parametrize(
-        "p, n, f", [(7, 2, "3,5,11,20,7,1"), (3, 4, "2,40,13,7,29,1")]
+        "p, n, f",
+        [
+            (7, 2, "3,5,11,20,7,1"),
+            (3, 4, "2,40,13,7,29,1"),
+            (1000003, 1, "5,17,0,3,11,1"),
+        ],
     )
     def test_random_pairs_and_doublings(self, p, n, f):
         curve = HyperellipticCurve(finite_field(p, n), f)
-        J = [D for D in curve.enumerate_jacobian() if D.weight == 2]
         rng = RandomSource(p * n)
+        if n == 1:  # |J| ~ 10^12: seeded multiples of one class
+            G = weight2_class(curve)
+            J = [curve.scalar_mul(G, rng.next_below(p * p)) for _ in range(200)]
+        else:
+            J = curve.enumerate_jacobian()
+        J = [D for D in J if D.weight == 2]
 
         def pick():
             return J[rng.next_below(len(J))]
@@ -385,17 +423,8 @@ class TestClosedForm:
 
     def test_scalar_mul_large_prime(self):
         p = 1000003
-        K = finite_field(p)
-        curve = HyperellipticCurve(K, "5,17,0,3,11,1")
-        points = []
-        x = 0
-        while len(points) < 2:
-            r = curve.f(x)
-            if r and pow(r, (p - 1) // 2, p) == 1:
-                points.append(curve.divisor_from_point((x, pow(r, (p + 1) // 4, p))))
-            x += 1
-        G = curve.cantor_add(*points)
-        assert G.weight == 2
+        curve = HyperellipticCurve(finite_field(p), "5,17,0,3,11,1")
+        G = weight2_class(curve)
         rng = RandomSource(1000003)
         scalars = [rng.next_below(p * p) for _ in range(20)]
         for m in scalars:
@@ -551,10 +580,25 @@ class TestGroupLaws:
                 A, c11.cantor_add(B, C)
             )
 
-    def test_element_order_divides_group_order(self, c7):
-        n = c7.jacobian_order()
-        for D in c7.enumerate_jacobian():
-            assert c7.scalar_mul(D, n).is_zero
+    @pytest.mark.parametrize(
+        "p, f, samples",
+        [
+            pytest.param(7, "1,0,0,0,0,1", None, id="c7"),
+            pytest.param(101, "1,3,0,0,0,1", 300, id="p101"),
+        ],
+    )
+    def test_element_order_divides_group_order(self, p, f, samples):
+        """Every class at F_7, where most sums hit the closed form's
+        fallbacks, and seeded classes at p = 101, where most adds and
+        doublings inside scalar_mul are in generic position."""
+        curve = HyperellipticCurve(finite_field(p), f)
+        J = curve.enumerate_jacobian()
+        n = len(J)
+        if samples:
+            rng = RandomSource(p)
+            J = [J[rng.next_below(n)] for _ in range(samples)]
+        for D in J:
+            assert curve.scalar_mul(D, n).is_zero
 
     def test_scalar_mul_small_multiples(self, c7):
         D = c7.divisor_from_point((0, 1))

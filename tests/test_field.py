@@ -325,6 +325,13 @@ class TestConstructionErrors:
         with pytest.raises(NonElementError):
             finite_field(3, 2).neg(True)
 
+    def test_bool_is_not_a_coefficient(self):
+        # x^2 + 1 is irreducible over F_3, so only the bool can be at fault
+        with pytest.raises(NonElementError):
+            FiniteField(3, 2, (True, 0, 1))
+        with pytest.raises(NonElementError):
+            finite_field(3, 2).from_coords([True, 2])
+
     def test_field_identity(self):
         assert finite_field(3, 2) == finite_field(3, 2)
         assert finite_field(3, 2) is finite_field(3, 2)  # cached
