@@ -161,7 +161,7 @@ class AdditiveSubgroup:
         idx = list(basis)
         seen = set()
         for i in idx:
-            if not isinstance(i, int) or not 0 <= i < field.n or i in seen:
+            if type(i) is not int or not 0 <= i < field.n or i in seen:
                 raise BadSubgroupBasisError(
                     f"basis must be distinct indices in [0, {field.n}), got {idx!r}"
                 )
@@ -251,9 +251,9 @@ def interval_char_sum(p: int, L: int) -> CharSumReport:
     A call only extends the running sums of p up to L, adding the terms in
     the order of the direct per-L loop, so a sweep over every L costs p^2
     additions and each total is the same float as that loop's."""
-    if not isinstance(p, int) or p < 2:
+    if type(p) is not int or p < 2:
         raise LOutOfRangeError(f"p must be a prime >= 3, got {p!r}")
-    if not isinstance(L, int) or not 1 <= L <= p:
+    if type(L) is not int or not 1 <= L <= p:
         raise LOutOfRangeError(f"L must be in [1, {p}], got {L!r}")
     sums, totals = _interval_sums(p)
     roots = _unit_roots(p)

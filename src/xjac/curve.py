@@ -26,6 +26,22 @@ Validity and enumeration work from f mod u: with u = x^2 + a*x + b,
 f == r1*x + r0 and v = c*x + d, u | v^2 - f reads 2cd - a*c^2 = r1 and
 d^2 - b*c^2 = r0, so checking a divisor costs O(1) field operations and
 enumerating the Jacobian solves a quadratic for c^2 per u, O(q^2) in all.
+
+The extractors read a class only through u, so value_counts tallies the
+classes by u without building any of them: #v(u), the number of reduced
+[u, v], is (Cantor, Math. Comp. 48, 1987)
+
+    deg u = 0:                 1 (the neutral class)
+    u = x - x1:                w1[x1] = #sqrt(f(x1))
+    u = (x - x1)(x - x2):      w1[x1] * w1[x2] for x1 != x2 (v by CRT)
+    u = (x - x1)^2:            2 if f(x1) is a nonzero square, else 0
+    u irreducible:             #sqrt(r0^2 - a*r0*r1 + b*r1^2)
+
+where u = x^2 + a*x + b is irreducible when a^2 - 4b is a nonsquare (q
+odd), and r0^2 - a*r0*r1 + b*r1^2 is the norm to F_q of f(theta) for a
+root theta of u in F_q^2: v(theta) is a square root of f(theta) there,
+and an element of F_q^2 is a square exactly when its norm is a square in
+F_q.  Counting costs O(q^2) field operations and O(q) memory.
 """
 
 from __future__ import annotations
@@ -70,6 +86,16 @@ def find_squarefree_quintic(field: FiniteField) -> Poly:
     x^4 + 1, and gcd(x^4 + 1, 4x^3) = 1 because 4 != 0 and 0 is not a
     root of x^4 + 1."""
     return Poly(field, (0, 1, 0, 0, 0, 1))
+
+
+class ValueCounts(NamedTuple):
+    """The Jacobian as the extractors see it: |J| and, for each t in F_q,
+    the number of classes other than [1, 0] whose support's x-coordinates
+    sum to t (sums[t]) or multiply to t (products[t])."""
+
+    order: int
+    sums: tuple[int, ...]
+    products: tuple[int, ...]
 
 
 class AffinePoint(NamedTuple):
@@ -133,7 +159,9 @@ class HyperellipticCurve:
     """y^2 = f(x) with monic squarefree f of degree 5 over an odd-
     characteristic field."""
 
-    __slots__ = ("field", "f", "_fraw", "_weight2", "_sqrt", "_points", "_jacobian")
+    __slots__ = (
+        "field", "f", "_fraw", "_weight2", "_sqrt", "_points", "_jacobian", "_counts"
+    )
 
     def __init__(self, field: FiniteField, f):
         if isinstance(f, str):
@@ -162,6 +190,7 @@ class HyperellipticCurve:
         self._sqrt = None
         self._points = None
         self._jacobian = None
+        self._counts = None
 
     # -- points ---------------------------------------------------------------
 
@@ -469,7 +498,7 @@ class HyperellipticCurve:
         return MumfordDivisor(D.u, -D.v)
 
     def scalar_mul(self, D: MumfordDivisor, m: int) -> MumfordDivisor:
-        if not isinstance(m, int):
+        if type(m) is not int:
             raise NegativeScalarError(f"scalar must be an int, got {m!r}")
         if m < 0:
             raise NegativeScalarError(f"scalar must be >= 0, got {m}")
@@ -564,8 +593,54 @@ class HyperellipticCurve:
         self._jacobian = tuple(out)
         return self._jacobian
 
+    def value_counts(self, budget: int = DEFAULT_BUDGET) -> ValueCounts:
+        """|J| and the classes per sum and per product of abscissas,
+        counted per u by the formulas in the module docstring; no divisor
+        is built.  Gated by the same class-count budget as enumeration."""
+        self.require_jacobian_budget(budget)
+        if self._counts is not None:
+            return self._counts
+        K = self.field
+        q = K.q
+        add, sub, mul, neg = K._add, K._sub, K._mul, K._neg
+        sqrt = self._sqrt_table()
+        fraw = self._fraw
+        w1 = [len(sqrt[raw_eval(K, fraw, x)]) for x in range(q)]
+        # weight 1: u = x - x1 reads x1; weight 2: u = x^2 + a*x + b reads
+        # -a as its sum and b as its product
+        sums = list(w1)
+        products = list(w1)
+        xs = [x for x in range(q) if w1[x]]
+        for i, x1 in enumerate(xs):
+            n1 = w1[x1]
+            for x2 in xs[i + 1 :]:
+                n = n1 * w1[x2]
+                sums[add(x1, x2)] += n
+                products[mul(x1, x2)] += n
+            if n1 == 2:  # u = (x - x1)^2 with f(x1) a nonzero square
+                sums[add(x1, x1)] += 2
+                products[mul(x1, x1)] += 2
+        # irreducible u: b = (a^2 - t)/4 for each nonsquare t
+        quarter = K._inv(add(add(1, 1), add(1, 1)))
+        shifts = [mul(t, quarter) for t in range(1, q) if not sqrt[t]]
+        fmod = self._f_mod_quadratic
+        for a in range(q):
+            aq = mul(mul(a, a), quarter)
+            row = 0
+            for s in shifts:
+                b = sub(aq, s)
+                r1, r0 = fmod(a, b)
+                norm = add(sub(mul(r0, r0), mul(a, mul(r0, r1))), mul(b, mul(r1, r1)))
+                n = len(sqrt[norm])
+                row += n
+                products[b] += n
+            sums[neg(a)] += row
+        self._counts = ValueCounts(1 + sum(sums), tuple(sums), tuple(products))
+        return self._counts
+
     def jacobian_order(self, budget: int = DEFAULT_BUDGET) -> int:
-        return len(self.enumerate_jacobian(budget))
+        """|J|, counted (value_counts), not enumerated."""
+        return self.value_counts(budget).order
 
     def preload_enumeration(self, divisors: Sequence[MumfordDivisor]) -> None:
         """Install a previously computed enumeration (cache loads); points()

@@ -51,7 +51,7 @@ class ExtractorKind(Enum):
 
 def coord_prefix(field: FiniteField, e: int, k: int) -> tuple[int, ...]:
     """First k coordinates of e in the power basis, low index first."""
-    if not isinstance(k, int) or not 1 <= k <= field.n:
+    if type(k) is not int or not 1 <= k <= field.n:
         raise KOutOfRangeError(f"k must be in [1, {field.n}], got {k!r}")
     return field.coords(e)[:k]
 
@@ -60,9 +60,9 @@ def low_bits(p: int, r: int, k: int) -> tuple[int, ...]:
     """k least-significant bits of the residue r in [0, p), LSB first.
 
     Requires 2**k <= p so that every output pattern is reachable."""
-    if not isinstance(k, int) or k < 1 or 2**k > p:
+    if type(k) is not int or k < 1 or 2**k > p:
         raise KOutOfRangeError(f"k must satisfy 1 <= k and 2**k <= p={p}, got {k!r}")
-    if not isinstance(r, int) or not 0 <= r < p:
+    if type(r) is not int or not 0 <= r < p:
         raise KOutOfRangeError(f"residue {r!r} is not in [0, {p})")
     return tuple((r >> i) & 1 for i in range(k))
 
@@ -92,15 +92,20 @@ def extract(
     curve: HyperellipticCurve, D: MumfordDivisor, kind: ExtractorKind, k: int
 ) -> tuple[int, ...]:
     """Apply an extractor; returns a length-k tuple of digits or bits."""
-    val = _scalar_value(curve, D, kind.uses_product)
+    return value_output(curve.field, kind, _scalar_value(curve, D, kind.uses_product), k)
+
+
+def value_output(field: FiniteField, kind: ExtractorKind, val: int, k: int) -> tuple[int, ...]:
+    """The extractor's output for a class whose sum or product of
+    abscissas (as kind reads it) is val."""
     if kind.is_bitwise:
-        if curve.field.n != 1:
+        if field.n != 1:
             raise RequiresPrimeFieldError(
                 f"{kind.value} is defined over prime fields only, "
-                f"field has degree {curve.field.n}"
+                f"field has degree {field.n}"
             )
-        return low_bits(curve.field.p, val, k)
-    return coord_prefix(curve.field, val, k)
+        return low_bits(field.p, val, k)
+    return coord_prefix(field, val, k)
 
 
 def extract_sum(curve: HyperellipticCurve, D: MumfordDivisor, k: int) -> tuple[int, ...]:

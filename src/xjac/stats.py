@@ -4,6 +4,15 @@ Counting is integer-exact and the statistical distance / collision
 probability are computed over Q (fractions.Fraction); floats only appear
 at the reporting edge.  Sampling uses a counter-based splitmix64 stream
 with rejection, so runs are reproducible across platforms from a seed.
+
+The two distributions take different routes.  An exact tally never
+builds a divisor: extractors read a class [u, v] only through u (the
+sum -u1 or the product u0 of its abscissas), so it adds up
+HyperellipticCurve.value_counts, #v(u) for every monic u of degree <= 2
+(Cantor, Math. Comp. 48, 1987), one O(q^2) pass per curve shared by every
+(extractor, k).  A Monte-Carlo tally draws indices into the enumerated
+Jacobian (enumerate_jacobian), which also stays the tests' oracle for the
+counted tallies.
 """
 
 from __future__ import annotations
@@ -15,7 +24,13 @@ from typing import Iterable, Mapping
 
 from .curve import DEFAULT_BUDGET, HyperellipticCurve
 from .errors import BudgetExceededError, KOutOfRangeError
-from .extractors import ExtractorKind, extract, outcome_count, outcome_index
+from .extractors import (
+    ExtractorKind,
+    extract,
+    outcome_count,
+    outcome_index,
+    value_output,
+)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -33,7 +48,7 @@ class RandomSource:
     algorithm = "splitmix64"
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or seed < 0:
+        if type(seed) is not int or seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {seed!r}")
         self.seed = seed
         self._state = seed & _MASK64
@@ -66,14 +81,14 @@ class Tally:
     __slots__ = ("m", "counts", "total")
 
     def __init__(self, m: int, counts: Mapping[int, int]):
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise ValueError(f"outcome space size must be >= 1, got {m!r}")
         clean: dict[int, int] = {}
         total = 0
         for idx, c in counts.items():
-            if not isinstance(idx, int) or not 0 <= idx < m:
+            if type(idx) is not int or not 0 <= idx < m:
                 raise ValueError(f"outcome index {idx!r} outside [0, {m})")
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:
                 raise ValueError(f"count {c!r} for outcome {idx} is not an int >= 0")
             if c:
                 clean[idx] = c
@@ -199,13 +214,24 @@ def exact_output_distribution(
     k: int,
     budget: int = DEFAULT_BUDGET,
 ) -> Tally:
-    """Outcome tally of an extractor over every divisor class."""
-    J = curve.enumerate_jacobian(budget)
-    p = curve.field.p
-    m = outcome_count(kind, curve.field, k)
-    return Tally.from_outcomes(
-        m, (outcome_index(kind, p, extract(curve, D, kind, k)) for D in J)
-    )
+    """Outcome tally of an extractor over every divisor class.
+
+    Counted, not enumerated: the extractor reads a class only through the
+    sum or product of its abscissas, so the tally adds up
+    curve.value_counts() (#v per u, Cantor 1987) per value, O(q + m) per
+    (kind, k) once the curve's one O(q^2) counting pass has run.  The
+    neutral class goes through extract itself, which also rejects a kind
+    or k that does not fit the field before any counting."""
+    curve.require_jacobian_budget(budget)
+    field = curve.field
+    p = field.p
+    counts = {outcome_index(kind, p, extract(curve, curve.zero(), kind, k)): 1}
+    by_value = curve.value_counts(budget)
+    for val, n in enumerate(by_value.products if kind.uses_product else by_value.sums):
+        if n:
+            idx = outcome_index(kind, p, value_output(field, kind, val, k))
+            counts[idx] = counts.get(idx, 0) + n
+    return Tally(outcome_count(kind, field, k), counts)
 
 
 def monte_carlo_distribution(
@@ -222,7 +248,7 @@ def monte_carlo_distribution(
     Extractors read only the class, so each drawn class is extracted (and
     so validated) once per call, the first time it is drawn; later draws
     of it reuse that outcome index."""
-    if not isinstance(samples, int) or samples < 1:
+    if type(samples) is not int or samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     J = curve.enumerate_jacobian(budget)
     src = RandomSource(seed)

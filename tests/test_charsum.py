@@ -203,6 +203,8 @@ class TestSubgroups:
             AdditiveSubgroup(F9, [0, 0])     # repeated
         with pytest.raises(BadSubgroupBasisError):
             AdditiveSubgroup(F9, ["x"])
+        with pytest.raises(BadSubgroupBasisError):
+            AdditiveSubgroup(F9, [True])     # bool, though True == 1
 
     def test_closed_under_addition(self, F27):
         K = F27
@@ -306,3 +308,8 @@ class TestIntervalSums:
             interval_char_sum(7, 8)
         with pytest.raises(LOutOfRangeError):
             interval_char_sum(1, 1)
+
+    @pytest.mark.parametrize("p,L", [(7, True), (7, 1.0), (True, 1), (7.0, 1)])
+    def test_arguments_must_be_ints(self, p, L):
+        with pytest.raises(LOutOfRangeError):
+            interval_char_sum(p, L)

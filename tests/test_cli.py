@@ -10,6 +10,7 @@ import pytest
 
 from xjac import cli
 from xjac.cli import SCHEMA_VERSION, _json_value, build_parser, main, render_json
+from xjac.curve import HyperellipticCurve
 
 
 def run(capsys, argv):
@@ -261,6 +262,20 @@ class TestSweep:
         kinds = [r["extractor"] for r in rows]
         assert kinds == ["sum", "sum", "prod", "prod"]
 
+    def test_one_counting_pass_per_curve(self, capsys, monkeypatch):
+        passes = []
+        count = HyperellipticCurve.value_counts
+
+        def counting(curve, budget):
+            if curve._counts is None:
+                passes.append(curve.field.p)
+            return count(curve, budget)
+
+        monkeypatch.setattr(HyperellipticCurve, "value_counts", counting)
+        code, out, _ = run(capsys, [*self.ARGV, "--k", "1,1"])
+        assert code == 0 and len(rows_of(out)) == 3 * 4 * 2 + 1
+        assert passes == [7, 11, 13]
+
     def test_budget_cell_flagged_not_fatal(self, capsys):
         argv = ["sweep", "--p", "7,13", "--c", "0,2", "--f", "1,c,0,0,0,1",
                 "--extractor", "sum", "--k", "1", "--budget", "180"]
@@ -318,6 +333,46 @@ class TestCache:
         code, warm, err = run(capsys, argv)
         assert code == 0 and "enumeration = cache" in err
         assert warm == cold and rows_of(cold)
+
+    def test_exact_paths_neither_read_nor_write_the_cache(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        exact = [
+            ["extract-sd", *F7_ARGS, "--extractor", "sum", "--k", "1"],
+            ["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1",
+             "--extractor", "prod", "--k", "2"],
+            TestSweep.ARGV,
+        ]
+        for argv in exact:
+            code, _, err = run(capsys, [*argv, "--cache-dir", str(cache)])
+            assert code == 0 and "enumeration" not in err
+            assert not cache.exists() or not os.listdir(cache)
+            if argv[0] == "extract-sd":
+                assert "tally = counted" in err
+
+        mc = [*exact[0], "--mode", "montecarlo", "--samples", "100", "--seed", "1"]
+        code, _, err = run(capsys, [*mc, "--cache-dir", str(cache)])
+        assert code == 0 and "enumeration = computed" in err
+        assert len(os.listdir(cache)) == 1
+        code, _, _ = run(capsys, ["jacobian", "--p", "11", "--f", "1,1,0,0,0,1",
+                                  "--cache-dir", str(cache)])
+        assert code == 0 and len(os.listdir(cache)) == 2
+
+    def test_exact_paths_never_enumerate(self, capsys, monkeypatch):
+        argvs = [
+            ["extract-sd", *F7_ARGS, "--extractor", "pk", "--k", "2"],
+            ["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1",
+             "--extractor", "sum", "--k", "2"],
+            TestSweep.ARGV,
+        ]
+        before = [run(capsys, argv)[1] for argv in argvs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an exact path enumerated or used the cache")
+
+        monkeypatch.setattr(HyperellipticCurve, "enumerate_jacobian", forbidden)
+        for name in ("ensure_jacobian", "load", "save"):
+            monkeypatch.setattr(cli.cache, name, forbidden)
+        assert [run(capsys, argv)[1] for argv in argvs] == before
 
     def test_env_var_fallback(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"

@@ -517,8 +517,37 @@ class TestEnumeration:
         lifted = HyperellipticCurve(finite_field(p, 2), curve.f.coeffs)
         n1 = len(curve.points()) + 1
         n2 = len(lifted.points()) + 1
-        assert curve.jacobian_order() == (n1 * n1 + n2) // 2 - p
+        assert curve.value_counts().order == (n1 * n1 + n2) // 2 - p
+        assert len(curve.enumerate_jacobian()) == (n1 * n1 + n2) // 2 - p
         assert (n1 * n1 + n2) % 2 == 0
+
+    @pytest.mark.parametrize(
+        "p,n", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (7, 2), (3, 3), (3, 4)]
+    )
+    def test_counted_order_and_values_match_enumeration(self, p, n):
+        """value_counts against the enumerated classes read through u:
+        |J|, and the classes per sum and per product of abscissas."""
+        K = finite_field(p, n)
+        for seed in range(3 if K.q < 50 else 1):
+            curve = seeded_quintic(K, 1000 * p + 10 * n + seed)
+            J = curve.enumerate_jacobian()
+            sums, products = [0] * K.q, [0] * K.q
+            for D in J[1:]:
+                u0, u1 = D.u.coeff(0), D.u.coeff(1)
+                if D.weight == 1:
+                    sums[K.neg(u0)] += 1
+                    products[K.neg(u0)] += 1
+                else:
+                    sums[K.neg(u1)] += 1
+                    products[u0] += 1
+            counted = curve.value_counts()
+            assert counted.order == len(J) == curve.jacobian_order()
+            assert list(counted.sums) == sums and list(counted.products) == products
+
+    def test_counting_builds_no_divisor(self, F11):
+        curve = HyperellipticCurve(F11, "1,1,0,0,0,1")
+        assert curve.jacobian_order() == 88
+        assert curve._jacobian is None
 
     def test_orders(self, c7, c9, c11, c13, c27):
         assert c7.jacobian_order() == 50
@@ -611,6 +640,11 @@ class TestGroupLaws:
         with pytest.raises(NegativeScalarError):
             c7.scalar_mul(c7.zero(), -1)
 
+    @pytest.mark.parametrize("m", [True, False, 2.0])
+    def test_scalar_mul_rejects_non_int(self, c7, m):
+        with pytest.raises(NegativeScalarError):
+            c7.scalar_mul(c7.zero(), m)
+
 
 class TestBudget:
     def test_enumeration_budget(self, F13):
@@ -621,8 +655,13 @@ class TestBudget:
     def test_budget_checked_before_cache(self, F7):
         curve = HyperellipticCurve(F7, "1,0,0,0,0,1")
         curve.enumerate_jacobian()  # warm the in-memory cache
+        curve.value_counts()
         with pytest.raises(BudgetExceededError):
             curve.enumerate_jacobian(budget=10)
+        with pytest.raises(BudgetExceededError):
+            curve.value_counts(budget=10)
+        with pytest.raises(BudgetExceededError):
+            curve.jacobian_order(budget=10)
         with pytest.raises(BudgetExceededError):
             curve.points(budget=3)
 

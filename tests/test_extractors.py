@@ -130,6 +130,21 @@ class TestErrors:
         with pytest.raises(KOutOfRangeError):
             extract_sum_bits(c7, D, 3)  # 2^3 > 7
 
+    @pytest.mark.parametrize("k", [True, False, 1.0])
+    def test_k_must_be_an_int(self, c7, c9, k):
+        for kind in ExtractorKind:
+            with pytest.raises(KOutOfRangeError):
+                extract(c7, c7.zero(), kind, k)
+        with pytest.raises(KOutOfRangeError):
+            coord_prefix(c9.field, 0, k)
+        with pytest.raises(KOutOfRangeError):
+            low_bits(7, 0, k)
+
+    @pytest.mark.parametrize("r", [True, False, 1.0])
+    def test_residue_must_be_an_int(self, r):
+        with pytest.raises(KOutOfRangeError):
+            low_bits(7, r, 1)
+
     def test_foreign_divisor_rejected(self, c7, F11):
         ghost = MumfordDivisor(Poly(F11, (0, 1)), Poly(F11, (1,)))
         with pytest.raises(InvalidDivisorError):

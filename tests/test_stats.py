@@ -10,8 +10,19 @@ from hypothesis import strategies as st
 
 from xjac import stats
 from xjac.curve import HyperellipticCurve, MumfordDivisor
-from xjac.errors import InvalidDivisorError, KOutOfRangeError
-from xjac.extractors import ExtractorKind, extract, outcome_count, outcome_index
+from xjac.errors import (
+    BudgetExceededError,
+    InvalidDivisorError,
+    KOutOfRangeError,
+    RequiresPrimeFieldError,
+)
+from xjac.extractors import (
+    ExtractorKind,
+    extract,
+    max_k,
+    outcome_count,
+    outcome_index,
+)
 from xjac.field import finite_field
 from xjac.poly import Poly
 from xjac.stats import (
@@ -64,6 +75,11 @@ class TestRandomSource:
     def test_algorithm_tag(self):
         assert RandomSource(0).algorithm == "splitmix64"
 
+    @pytest.mark.parametrize("seed", [True, False, 1.0, -1])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError):
+            RandomSource(seed)
+
 
 class TestTally:
     def test_from_outcomes(self):
@@ -82,6 +98,14 @@ class TestTally:
             Tally(4, {0: -1})
         with pytest.raises(ValueError):
             Tally(4, {})  # no observations
+
+    def test_bool_is_not_an_index_count_or_size(self):
+        with pytest.raises(ValueError):
+            Tally(True, {0: 1})
+        with pytest.raises(ValueError):
+            Tally(4, {True: 1})
+        with pytest.raises(ValueError):
+            Tally(4, {0: True})
 
     def test_merge_is_order_independent(self):
         a = Tally(5, {0: 3, 2: 1})
@@ -262,6 +286,97 @@ class TestDistributions:
     def test_monte_carlo_validation(self, c7):
         with pytest.raises(ValueError):
             monte_carlo_distribution(c7, ExtractorKind.SUM, 1, 0, seed=1)
+        with pytest.raises(ValueError):
+            monte_carlo_distribution(c7, ExtractorKind.SUM, 1, True, seed=1)
+
+
+def enumerated_tallies(curve, kind):
+    """Oracle: the tally for every valid k by extracting each enumerated
+    class, as exact_output_distribution did before it counted; the output
+    for k is the first k entries of the output for the largest k."""
+    p, top = curve.field.p, max_k(kind, curve.field)
+    outs = [extract(curve, D, kind, top) for D in curve.enumerate_jacobian()]
+    return {
+        k: Tally.from_outcomes(
+            outcome_count(kind, curve.field, k),
+            (outcome_index(kind, p, out[:k]) for out in outs),
+        )
+        for k in range(1, top + 1)
+    }
+
+
+def fresh_curve(p, n, f):
+    return HyperellipticCurve(finite_field(p, n), f)
+
+
+COUNTED_CURVES = {
+    "F7^2": (7, 2, "1,3,0,0,0,1"),
+    "F3^4": (3, 4, "2,0,1,0,0,1"),
+    "F101": (101, 1, "1,3,0,0,0,1"),
+}
+
+
+class TestCountedTally:
+    """exact_output_distribution counts #v per u; enumeration is its oracle."""
+
+    @pytest.mark.parametrize("name", ["c7", "c9", "c11", "c13", "c27", *COUNTED_CURVES])
+    def test_counted_equals_enumerated(self, request, name):
+        if name in COUNTED_CURVES:
+            curve = fresh_curve(*COUNTED_CURVES[name])
+        else:
+            curve = request.getfixturevalue(name)
+        kinds = [k for k in ExtractorKind if curve.field.n == 1 or not k.is_bitwise]
+        for kind in kinds:
+            for k, want in enumerated_tallies(curve, kind).items():
+                got = exact_output_distribution(curve, kind, k)
+                assert got == want, (name, kind, k)
+                assert got.total == want.total == len(curve.enumerate_jacobian())
+
+    def test_exact_tally_does_not_enumerate(self):
+        curve = fresh_curve(13, 1, "1,2,0,0,0,1")
+        for kind in ExtractorKind:
+            exact_output_distribution(curve, kind, 1)
+        assert curve._jacobian is None and curve._counts is not None
+
+    def test_one_counting_pass_per_curve(self, monkeypatch):
+        curve = fresh_curve(11, 1, "1,1,0,0,0,1")
+        passes = []
+        fmod = HyperellipticCurve._f_mod_quadratic
+
+        def counting_fmod(self, a, b):
+            passes.append((a, b))
+            return fmod(self, a, b)
+
+        monkeypatch.setattr(HyperellipticCurve, "_f_mod_quadratic", counting_fmod)
+        for kind in ExtractorKind:
+            for k in range(1, max_k(kind, curve.field) + 1):
+                exact_output_distribution(curve, kind, k)
+        # one f mod u per irreducible u, of which there are (q^2 - q)/2
+        assert len(passes) == len(set(passes)) == (11 * 11 - 11) // 2
+
+    def test_errors_as_before_and_no_count(self):
+        curve = fresh_curve(7, 1, "1,0,0,0,0,1")
+        with pytest.raises(KOutOfRangeError):
+            exact_output_distribution(curve, ExtractorKind.SUM, 2)
+        with pytest.raises(KOutOfRangeError):
+            exact_output_distribution(curve, ExtractorKind.SK, 3)
+        with pytest.raises(KOutOfRangeError):
+            exact_output_distribution(curve, ExtractorKind.PK, 0)
+        with pytest.raises(BudgetExceededError):
+            exact_output_distribution(curve, ExtractorKind.SUM, 1, budget=10)
+        ext = fresh_curve(3, 2, "1,0,0,0,0,1")
+        for kind in (ExtractorKind.SK, ExtractorKind.PK):
+            with pytest.raises(RequiresPrimeFieldError):
+                exact_output_distribution(ext, kind, 1)
+        # every error is raised before the counting pass
+        assert curve._counts is None and ext._counts is None
+        assert curve._jacobian is None and ext._jacobian is None
+
+    def test_budget_judged_before_a_warm_count(self):
+        curve = fresh_curve(13, 1, "1,2,0,0,0,1")
+        exact_output_distribution(curve, ExtractorKind.SUM, 1)
+        with pytest.raises(BudgetExceededError):
+            exact_output_distribution(curve, ExtractorKind.SUM, 1, budget=100)
 
 
 class TestSDReport:
