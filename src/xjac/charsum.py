@@ -24,7 +24,7 @@ from .errors import (
     LOutOfRangeError,
     TrivialCharacterError,
 )
-from .field import FiniteField
+from .field import FiniteField, is_prime
 from .poly import Poly, raw_eval
 
 
@@ -46,17 +46,6 @@ class CharSumReport:
     ratio: float
 
 
-@functools.lru_cache(maxsize=16)
-def _trace_xk(field: FiniteField) -> tuple[int, ...]:
-    """Tr(x^k) for k in [0, 2n - 1), built once per field."""
-    x = field.p % field.q  # the encoding of x (0 when n = 1: the modulus is x)
-    out, xk = [], 1
-    for _ in range(2 * field.n - 1):
-        out.append(field.trace(xk))
-        xk = field._mul(xk, x)
-    return tuple(out)
-
-
 class Character:
     """Additive character psi_a of a finite field, callable on encodings.
 
@@ -73,7 +62,7 @@ class Character:
         self.a = a
         p = field.p
         self._roots = _unit_roots(p)
-        txk = _trace_xk(field)
+        txk = field._trace_powers()
         digits = field._vec_decode(a)
         self._trace_axi = tuple(
             sum(aj * txk[i + j] for j, aj in enumerate(digits)) % p
@@ -251,7 +240,7 @@ def interval_char_sum(p: int, L: int) -> CharSumReport:
     A call only extends the running sums of p up to L, adding the terms in
     the order of the direct per-L loop, so a sweep over every L costs p^2
     additions and each total is the same float as that loop's."""
-    if type(p) is not int or p < 2:
+    if type(p) is not int or p < 3 or not is_prime(p):
         raise LOutOfRangeError(f"p must be a prime >= 3, got {p!r}")
     if type(L) is not int or not 1 <= L <= p:
         raise LOutOfRangeError(f"L must be in [1, {p}], got {L!r}")

@@ -5,15 +5,15 @@ with coordinates (c_0, ..., c_{n-1}) in the power basis 1, x, ..., x^{n-1}
 is encoded as the integer sum_i c_i * p**i, so the encodings are exactly
 0 .. q-1 with q = p**n.  For n = 1 an element is simply its residue.
 
-Fields with n > 1 and q small enough precompute full operation tables,
-multiplication and inverse from exp/log tables of a primitive element and
-addition digit by digit; larger fields fall back to digit-vector
-arithmetic.  Either way the observable behaviour is identical.
+For n > 1 there is one arithmetic: F_p[x]/(modulus) on base-p digit
+lists through the shared poly.raw_* kernels over finite_field(p), products
+reduced by raw_divmod and inverses from raw_xgcd.  Fields with q <= 1024
+memoize it in full operation tables (multiplication and inverse through
+exp/log tables of a primitive element, filled from the digit ops), so the
+observable behaviour is the same on both sides of the cap.
 
-All F_p polynomial arithmetic (modulus search and check, digit-vector
-inverse) goes through the shared poly.raw_* kernels over finite_field(p),
-imported inside the functions that use them because poly imports this
-module.  The modulus search builds no p-sized table.
+The kernels are imported inside the functions that use them because poly
+imports this module.  The modulus search builds no p-sized table.
 """
 
 from __future__ import annotations
@@ -131,18 +131,17 @@ class FiniteField:
         "_mul",
         "_neg",
         "_inv",
-        "_xk",
-        "_trace_xi",
+        "_trace_xk",
     )
 
     def __init__(self, p: int, n: int = 1, modulus: Sequence[int] | None = None):
-        if not isinstance(p, int) or p < 2:
+        if type(p) is not int or p < 2:
             raise NotPrimeError(f"p={p!r} is not a prime >= 3")
         if p == 2:
             raise EvenCharacteristicError("characteristic 2 is not supported")
         if not is_prime(p):
             raise NotPrimeError(f"p={p} is not prime")
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise WrongDegreeError(f"extension degree must be >= 1, got {n!r}")
         q = p**n
         if q > MAX_FIELD_SIZE:
@@ -175,8 +174,7 @@ class FiniteField:
         self.n = n
         self.q = q
         self.modulus = tuple(mod)
-        self._trace_xi = None
-        self._xk = None
+        self._trace_xk = None
         if n == 1:
             self._bind_prime_ops()
         elif q <= _TABLE_LIMIT:
@@ -200,19 +198,6 @@ class FiniteField:
 
         self._inv = inv
 
-    def _reduction_rows(self) -> list[list[int]]:
-        """Digit vectors of x^k mod modulus for k = 0 .. 2n-2."""
-        p, n, mod = self.p, self.n, self.modulus
-        rows = [[1 if i == k else 0 for i in range(n)] for k in range(n)]
-        for _ in range(n - 1):
-            prev = rows[-1]
-            nxt = [0] * n
-            lead = prev[n - 1]
-            for i in range(n):
-                nxt[i] = (prev[i - 1] if i else 0) - lead * mod[i]
-            rows.append([c % p for c in nxt])
-        return rows
-
     def _vec_decode(self, a: int) -> list[int]:
         p = self.p
         out = []
@@ -227,36 +212,21 @@ class FiniteField:
             v = v * self.p + d
         return v
 
-    def _vec_mul_digits(self, da: Sequence[int], db: Sequence[int]) -> list[int]:
-        p, n = self.p, self.n
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    conv[i + j] += ai * bj
-        xk = self._xk
-        out = conv[:n]
-        for k in range(n, 2 * n - 1):
-            ck = conv[k]
-            if ck:
-                row = xk[k]
-                for i in range(n):
-                    out[i] += ck * row[i]
-        return [c % p for c in out]
-
     def _bind_table_ops(self):
         p, q = self.p, self.q
-        self._xk = self._reduction_rows()
+        # the tables memoize the digit-vector arithmetic, so they are filled
+        # from its bound ops before the lookups replace them
+        self._bind_vector_ops()
+        mul = self._mul
 
         # exp/log tables of a primitive element g, found by walking the
-        # powers of each candidate with the digit multiply until one has
-        # order q - 1; exp2 repeats exp so log a + log b needs no modulo
+        # powers of each candidate until one has order q - 1; exp2 repeats
+        # exp so log a + log b needs no modulo
         for g in range(2, q):
-            dg = self._vec_decode(g)
-            exp, d = [1], dg
-            while (e := self._vec_encode(d)) != 1:
+            exp, e = [1], g
+            while e != 1:
                 exp.append(e)
-                d = self._vec_mul_digits(d, dg)
+                e = mul(e, g)
             if len(exp) == q - 1:
                 break
         log = [0] * q
@@ -266,6 +236,7 @@ class FiniteField:
         logs = log[1:]
         mul_t = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         inv_t: list[int | None] = [None] + [exp[-la] for la in logs]
+        neg_t = [self._neg(a) for a in range(q)]
 
         # base-p addition has no carries: for b = p*d + m (d-major order)
         # add(a, b) = p * add(a // p, d) + add_p[a % p][m], and the row of
@@ -275,7 +246,6 @@ class FiniteField:
         for a in range(1, q):
             high, low = add_t[a // p][: q // p], add_p[a % p]
             add_t.append([p * h + lo for h in high for lo in low])
-        neg_t = [self._vec_encode([-d % p for d in self._vec_decode(a)]) for a in range(q)]
 
         self._add = lambda a, b: add_t[a][b]
         self._mul = lambda a, b: mul_t[a][b]
@@ -291,39 +261,24 @@ class FiniteField:
         self._inv = inv
 
     def _bind_vector_ops(self):
-        from .poly import raw_strip, raw_xgcd
+        """F_p[x]/(modulus) on base-p digit lists through the poly.raw_*
+        kernels over F_p."""
+        from .poly import raw_add, raw_divmod, raw_mul, raw_neg, raw_strip, raw_sub, raw_xgcd
 
-        self._xk = self._reduction_rows()
-        p = self.p
-        Fp = finite_field(p)
-
-        def add(a: int, b: int) -> int:
-            da, db = self._vec_decode(a), self._vec_decode(b)
-            return self._vec_encode([(x + y) % p for x, y in zip(da, db)])
-
-        def sub(a: int, b: int) -> int:
-            da, db = self._vec_decode(a), self._vec_decode(b)
-            return self._vec_encode([(x - y) % p for x, y in zip(da, db)])
-
-        def neg(a: int) -> int:
-            return self._vec_encode([-d % p for d in self._vec_decode(a)])
-
-        def mul(a: int, b: int) -> int:
-            return self._vec_encode(
-                self._vec_mul_digits(self._vec_decode(a), self._vec_decode(b))
-            )
+        Fp = finite_field(self.p)
+        mod = self.modulus
+        dec, enc = self._vec_decode, self._vec_encode
 
         def inv(a: int) -> int:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
             # s*modulus + t*a = 1 because the modulus is irreducible
-            _, _, t = raw_xgcd(Fp, self.modulus, raw_strip(self._vec_decode(a)))
-            return self._vec_encode(t)
+            return enc(raw_xgcd(Fp, mod, raw_strip(dec(a)))[2])
 
-        self._add = add
-        self._sub = sub
-        self._mul = mul
-        self._neg = neg
+        self._add = lambda a, b: enc(raw_add(Fp, dec(a), dec(b)))
+        self._sub = lambda a, b: enc(raw_sub(Fp, dec(a), dec(b)))
+        self._neg = lambda a: enc(raw_neg(Fp, dec(a)))
+        self._mul = lambda a, b: enc(raw_divmod(Fp, raw_mul(Fp, dec(a), dec(b)), mod)[1])
         self._inv = inv
 
     # -- public operations ----------------------------------------------------
@@ -376,7 +331,7 @@ class FiniteField:
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)
-        if not isinstance(e, int):
+        if type(e) is not int:
             raise TypeError(f"exponent must be an int, got {e!r}")
         return self._pow(a, e)
 
@@ -384,29 +339,40 @@ class FiniteField:
         self._check(a)
         return self._pow(a, self.p)
 
-    def trace(self, a: int) -> int:
-        """Trace to the prime field, returned as a residue in [0, p).
-
-        Tr is F_p-linear, so Tr(a) = sum of a_i * Tr(x^i) over the base-p
-        digits a_i of a; the n values Tr(x^i) are Frobenius sums, computed
-        on first use."""
-        self._check(a)
-        if self.n == 1:
-            return a
-        p = self.p
-        if self._trace_xi is None:
-            txi = []
-            for i in range(self.n):
+    def _trace_powers(self) -> tuple[int, ...]:
+        """Tr(x^k) for k in [0, 2n - 1), computed on first use: Frobenius
+        sums for k < n, then Tr(x^k) = sum_i d_i Tr(x^i) over the base-p
+        digits d_i of x^k.  trace() reads the first n values and charsum's
+        characters all of them."""
+        if self._trace_xk is None:
+            p, n = self.p, self.n
+            txk = []
+            for i in range(n):
                 s = x = p**i  # the encoding of x^i
-                for _ in range(self.n - 1):
+                for _ in range(n - 1):
                     x = self._pow(x, p)
                     s = self._add(s, x)
                 # trace lands in the prime subfield, whose encodings are 0..p-1
                 assert s < p
-                txi.append(s)
-            self._trace_xi = txi
+                txk.append(s)
+            xk = p ** (n - 1)
+            for _ in range(n - 1):
+                xk = self._mul(xk, p)  # x^k = x^(k-1) * x, and x encodes as p
+                txk.append(sum(d * t for d, t in zip(self._vec_decode(xk), txk)) % p)
+            self._trace_xk = tuple(txk)
+        return self._trace_xk
+
+    def trace(self, a: int) -> int:
+        """Trace to the prime field, returned as a residue in [0, p).
+
+        Tr is F_p-linear, so Tr(a) = sum of a_i * Tr(x^i) over the base-p
+        digits a_i of a."""
+        self._check(a)
+        if self.n == 1:
+            return a
+        p = self.p
         t = 0
-        for ti in self._trace_xi:
+        for ti in self._trace_powers()[: self.n]:
             t += a % p * ti
             a //= p
         return t % p
@@ -448,7 +414,8 @@ class FiniteField:
         return f"F_{self.q}(mod {','.join(map(str, self.modulus))})"
 
 
-@lru_cache(maxsize=None)
+# typed: finite_field(7, True) must not return the cached F_7
+@lru_cache(maxsize=None, typed=True)
 def _cached_field(p: int, n: int, modulus: tuple[int, ...] | None) -> FiniteField:
     return FiniteField(p, n, modulus)
 

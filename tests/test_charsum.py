@@ -309,6 +309,11 @@ class TestIntervalSums:
         with pytest.raises(LOutOfRangeError):
             interval_char_sum(1, 1)
 
+    @pytest.mark.parametrize("p", [1, 2, 4, 9, True])
+    def test_p_must_be_an_odd_prime(self, p):
+        with pytest.raises(LOutOfRangeError, match="prime >= 3"):
+            interval_char_sum(p, 1)
+
     @pytest.mark.parametrize("p,L", [(7, True), (7, 1.0), (True, 1), (7.0, 1)])
     def test_arguments_must_be_ints(self, p, L):
         with pytest.raises(LOutOfRangeError):

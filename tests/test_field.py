@@ -119,15 +119,18 @@ def test_field_axioms_exhaustive(p, n):
                 assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b), K.mul(a, c))
 
 
-@pytest.mark.parametrize("p,n", [(5, 3), (1009, 1)])
+@pytest.mark.parametrize("p,n", [(5, 3), (1009, 1), (3, 7), (5, 5)])
 def test_field_axioms_randomized(p, n):
-    # larger fields get sampled instead of enumerated
+    # larger fields get sampled instead of enumerated; F_3^7 and F_5^5 lie
+    # past the table cap, so they sample the slower digit-vector ops less
     import random
+
+    from xjac.field import _TABLE_LIMIT
 
     K = finite_field(p, n)
     rng = random.Random(20240817)
     q = K.q
-    for _ in range(10_000):
+    for _ in range(10_000 if q <= _TABLE_LIMIT else 2_000):
         a, b, c = rng.randrange(q), rng.randrange(q), rng.randrange(q)
         assert K.add(a, b) == K.add(b, a)
         assert K.mul(K.mul(a, b), c) == K.mul(a, K.mul(b, c))
@@ -179,6 +182,32 @@ def test_table_backend_matches_digit_vectors(p, n):
             assert K.mul(a, K.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         K.inv(0)
+
+
+def test_table_backend_runs_no_polynomial_kernel_after_construction(monkeypatch):
+    # the table ops are lookups: once the tables are filled from the
+    # digit-vector ops, no add/sub/neg/mul/inv may reach a poly.raw_* kernel
+    import xjac.poly as poly
+
+    calls = []
+    for name in ("raw_add", "raw_sub", "raw_neg", "raw_mul", "raw_divmod", "raw_xgcd"):
+        kernel = getattr(poly, name)
+
+        def counted(*args, _kernel=kernel, _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(poly, name, counted)
+    K = FiniteField(3, 4)
+    assert calls  # the tables were filled through the kernels
+    calls.clear()
+    for a in range(K.q):
+        K.neg(a)
+        if a:
+            K.inv(a)
+        for b in range(0, K.q, 7):
+            K.add(a, b), K.sub(a, b), K.mul(a, b)
+    assert calls == []
 
 
 def test_vector_mul_matches_polynomial_product_mod_modulus():
@@ -332,6 +361,19 @@ class TestConstructionErrors:
         with pytest.raises(NonElementError):
             finite_field(3, 2).from_coords([True, 2])
 
+    def test_bool_is_not_a_prime_or_degree(self):
+        with pytest.raises(NotPrimeError):
+            FiniteField(True)
+        with pytest.raises(WrongDegreeError):
+            FiniteField(7, True)
+        finite_field(7)  # the cached F_7 must not answer for n = True
+        with pytest.raises(WrongDegreeError):
+            finite_field(7, True)
+
+    def test_bool_is_not_an_exponent(self):
+        with pytest.raises(TypeError):
+            finite_field(3, 2).pow(2, True)
+
     def test_field_identity(self):
         assert finite_field(3, 2) == finite_field(3, 2)
         assert finite_field(3, 2) is finite_field(3, 2)  # cached
@@ -346,3 +388,32 @@ def test_add_mul_commute_hypothesis(a, b):
     K = finite_field(3, 4)
     assert K.add(a, b) == K.add(b, a)
     assert K.mul(a, b) == K.mul(b, a)
+
+
+# SHA-256 of seeded add/sub/neg/mul/inv results, recorded with an earlier,
+# independent digit-multiply implementation of both extension backends
+# (F_3^7 and F_5^5 vector, F_3^5 and F_7^2 table)
+_OPS_DIGESTS = {
+    (3, 7): "58490652dc153d169fa7af50a4967fb8481723eb04c51700492f79b908350cd3",
+    (5, 5): "8be491572e2798156ac93b220659285f030059edfa546526d5ca1dd8ad3726df",
+    (3, 5): "3da380c7c560d3a625639233a8ff4fc38e826ae3c69bdb0f37c356dc1562824f",
+    (7, 2): "7b617baa8f2526293b0c7260e3929e035551e619d1080a9319c269f3acb2efe0",
+}
+
+
+def _ops_digest(p, n):
+    import hashlib
+    import random
+
+    K = finite_field(p, n)
+    rng = random.Random(p * 1000 + n)
+    out = []
+    for _ in range(400):
+        a, b = rng.randrange(K.q), rng.randrange(1, K.q)
+        out += [K.add(a, b), K.sub(a, b), K.neg(a), K.mul(a, b), K.inv(b)]
+    return hashlib.sha256(",".join(map(str, out)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("p,n", sorted(_OPS_DIGESTS))
+def test_ops_match_pinned_digest(p, n):
+    assert _ops_digest(p, n) == _OPS_DIGESTS[(p, n)]
