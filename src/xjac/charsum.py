@@ -5,6 +5,10 @@ F_q as a runs over F_q; a = 0 is the trivial character.  Every sum here
 is evaluated by direct accumulation in complex doubles, so closed-form
 laws (orthogonality, square-root cancellation for quadratics, duality
 for subgroup spans) can be checked against an independent route.
+
+Tr(a x) is F_p-bilinear in the base-p digits of a and x, so the sums read
+trace tables expanded digit by digit (_digit_dots), yet add the same
+_unit_roots entries in ascending x order: the floats of a per-x loop.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .curve import DEFAULT_BUDGET
 from .errors import (
@@ -90,12 +94,22 @@ class Character:
         return f"psi_{self.a} on {self.field!r}"
 
 
+def _digit_dots(p: int, coeffs: Sequence[int]) -> list[int]:
+    """sum_i d_i coeffs[i], not reduced, for every digit vector d in [0, p)^k
+    in ascending order of sum_i d_i p^i: digit by digit, the last slowest."""
+    out = [0]
+    for c in reversed(coeffs):
+        row = [d * c for d in range(p)]
+        out = [t + m for t in out for m in row]
+    return out
+
+
 def orthogonality_sum(field: FiniteField, a: int) -> complex:
     """sum_x psi_a(x); q for the trivial character, 0 otherwise."""
-    psi = Character(field, a)._eval
+    p, roots = field.p, _unit_roots(field.p)
     s = 0j
-    for x in range(field.q):
-        s += psi(x)
+    for t in _digit_dots(p, Character(field, a)._trace_axi):
+        s += roots[t % p]
     return s
 
 
@@ -106,14 +120,22 @@ def _poly_values(field: FiniteField, coeffs: tuple[int, ...]) -> tuple[int, ...]
     return tuple(raw_eval(field, coeffs, x) for x in range(field.q))
 
 
+@functools.lru_cache(maxsize=64)
+def _psi_table(field: FiniteField, a: int) -> tuple[complex, ...]:
+    """psi_a(x) for every x in F_q: the mordell rows run every a per P."""
+    p, roots = field.p, _unit_roots(field.p)
+    return tuple(roots[t % p] for t in _digit_dots(p, Character(field, a)._trace_axi))
+
+
 def poly_char_sum_value(field: FiniteField, P: Poly, a: int = 1) -> complex:
     """sum_x psi_a(P(x)) as a bare complex number, any a (including 0)."""
     if P.field != field:
         raise FieldMismatchError(f"P is over {P.field!r}, not {field!r}")
-    psi = Character(field, a)._eval
+    field._check(a)  # before the cache, whose key has True == 1
+    psi = _psi_table(field, a)
     s = 0j
     for v in _poly_values(field, P.coeffs):
-        s += psi(v)
+        s += psi[v]
     return s
 
 
@@ -175,11 +197,7 @@ class AdditiveSubgroup:
         size = p**self.dim
         if size > budget:
             raise BudgetExceededError(f"subgroup has {size} elements, budget {budget}")
-        out = [0]
-        for i in self.basis:
-            step = p**i
-            out = [e + c * step for e in out for c in range(p)]
-        return tuple(sorted(out))
+        return tuple(_digit_dots(p, [p**i for i in self.basis]))
 
     def __repr__(self):
         return f"span{self.basis} in {self.field!r}"
@@ -211,12 +229,14 @@ def winterhof_sum(
             f"winterhof sum needs {q * len(V)} character evaluations, "
             f"budget is {budget}"
         )
+    p, n, txk, roots = field.p, field.n, field._trace_powers(), _unit_roots(field.p)
+    # Tr(a x^i) = sum_j a_j Tr(x^(i+j)) for every a, and V spans the x^i
+    trs = [_digit_dots(p, txk[i : i + n]) for i in subgroup.basis]
     total = 0.0
     for a in range(q):
-        psi = Character(field, a)._eval
         s = 0j
-        for x in V:
-            s += psi(x)
+        for t in _digit_dots(p, [tr[a] for tr in trs]):
+            s += roots[t % p]
         total += abs(s)
     return CharSumReport(
         magnitude=total,

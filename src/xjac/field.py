@@ -425,4 +425,7 @@ def finite_field(
 ) -> FiniteField:
     """Shared-instance constructor; repeated calls reuse built tables."""
     key = tuple(modulus) if modulus is not None else None
+    # typed=True types only the arguments, and (True, 0, 1) == (1, 0, 1)
+    if key is not None and any(type(c) is not int for c in key):
+        raise NonElementError(f"modulus coefficients must be ints, got {key!r}")
     return _cached_field(p, n, key)

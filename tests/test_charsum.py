@@ -121,6 +121,60 @@ def test_orthogonality_extension_fields(p, n):
         assert abs(orthogonality_sum(K, a)) <= tol
 
 
+def orthogonality_by_characters(K, a):
+    """sum_x psi_a(x) one public character call at a time, x ascending."""
+    psi = Character(K, a)
+    s = 0j
+    for x in range(K.q):
+        s += psi(x)
+    return s
+
+
+def winterhof_by_characters(K, basis):
+    """sum_a |sum_{x in V} psi_a(x)|, one character call at a time."""
+    V = subgroup_elements(K, basis)
+    total = 0.0
+    for a in range(K.q):
+        psi = Character(K, a)
+        s = 0j
+        for x in V:
+            s += psi(x)
+        total += abs(s)
+    return total
+
+
+# prime, table and vector backends; F_3^7 on a seeded sample of a or bases
+EXACT_FIELDS = [(7, 1), (3, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("p,n", EXACT_FIELDS)
+def test_orthogonality_same_floats_as_characters(p, n):
+    K = finite_field(p, n)
+    for a in range(K.q):
+        assert orthogonality_sum(K, a) == orthogonality_by_characters(K, a), a
+
+
+def test_orthogonality_same_floats_as_characters_vector_backend():
+    K = finite_field(3, 7)
+    for a in [0, 1] + random.Random(7).sample(range(2, K.q), 12):
+        assert orthogonality_sum(K, a) == orthogonality_by_characters(K, a), a
+
+
+@pytest.mark.parametrize("p,n", EXACT_FIELDS)
+def test_winterhof_same_floats_as_characters(p, n):
+    K = finite_field(p, n)
+    for mask in range(2**n):  # mask 0 is the empty basis, V = {0}
+        basis = [i for i in range(n) if mask >> i & 1]
+        assert winterhof_sum(K, basis).magnitude == winterhof_by_characters(K, basis)
+
+
+def test_winterhof_same_floats_as_characters_vector_backend():
+    K = finite_field(3, 7)
+    rng = random.Random(2187)
+    for basis in [[], sorted(rng.sample(range(7), 1)), sorted(rng.sample(range(7), 2))]:
+        assert winterhof_sum(K, basis).magnitude == winterhof_by_characters(K, basis)
+
+
 class TestPolySums:
     def test_degree1_sums_vanish(self, F7):
         for c1 in range(1, 7):
@@ -176,6 +230,14 @@ class TestPolySums:
                 for x in range(K.q):
                     want += psi(raw_eval(K, P.coeffs, x))
                 assert poly_char_sum_value(K, P, a) == want, (P.coeffs, a)
+
+    def test_value_rejects_bool_and_q_after_caching_a_1(self, F7):
+        # the psi tables are cached per (field, a), and True == 1 as a key
+        P = Poly(F7, (0, 0, 1))
+        poly_char_sum_value(F7, P, 1)
+        for a in (True, F7.q):
+            with pytest.raises(NonElementError):
+                poly_char_sum_value(F7, P, a)
 
     def test_value_allows_trivial_character(self, F7):
         v = poly_char_sum_value(F7, Poly(F7, (0, 0, 1)), 0)

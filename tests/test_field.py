@@ -361,6 +361,18 @@ class TestConstructionErrors:
         with pytest.raises(NonElementError):
             finite_field(3, 2).from_coords([True, 2])
 
+    def test_bool_coefficient_misses_the_field_cache(self):
+        # True == 1, so the cache key (True, 0, 1) equals (1, 0, 1): the bool
+        # must be rejected whether or not that field was built first
+        for modulus in [(True, 0, 1), (1, 0, 1), (True, 0, 1)]:
+            if modulus[0] is True:
+                with pytest.raises(NonElementError):
+                    finite_field(3, 2, modulus)
+            else:
+                K = finite_field(3, 2, modulus)
+                assert K.modulus == (1, 0, 1)
+                assert all(type(c) is int for c in K.modulus)
+
     def test_bool_is_not_a_prime_or_degree(self):
         with pytest.raises(NotPrimeError):
             FiniteField(True)
