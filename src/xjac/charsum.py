@@ -132,9 +132,14 @@ def poly_char_sum_value(field: FiniteField, P: Poly, a: int = 1) -> complex:
     if P.field != field:
         raise FieldMismatchError(f"P is over {P.field!r}, not {field!r}")
     field._check(a)  # before the cache, whose key has True == 1
+    return _poly_char_sum_raw(field, P.coeffs, a)
+
+
+def _poly_char_sum_raw(field: FiniteField, coeffs: tuple[int, ...], a: int) -> complex:
+    """poly_char_sum_value after its checks, which its callers have made."""
     psi = _psi_table(field, a)
     s = 0j
-    for v in _poly_values(field, P.coeffs):
+    for v in _poly_values(field, coeffs):
         s += psi[v]
     return s
 
@@ -152,7 +157,7 @@ def poly_char_sum(field: FiniteField, P: Poly, a: int = 1) -> CharSumReport:
         raise DegreeTooHighError(
             f"deg P = {d} outside [1, p) = [1, {field.p}) where the bound applies"
         )
-    s = poly_char_sum_value(field, P, a)
+    s = _poly_char_sum_raw(field, P.coeffs, a)
     q = field.q
     bound = d * q ** (1.0 - 1.0 / (2.0 * d))
     mag = abs(s)

@@ -3,16 +3,16 @@
 Four subcommands:
 
     xjac jacobian    enumerate a Jacobian, verify Weil bounds, spot-check laws
-    xjac extract-sd  exact (counted per u) or Monte-Carlo (sampled from the
-                     enumeration) extractor output distribution
+    xjac extract-sd  exact (counted per u) or Monte-Carlo (sampled over the
+                     counted classes per u) extractor output distribution
     xjac charsum     character-sum law checks (orthogonality/mordell/winterhof/interval)
     xjac sweep       exact extract-sd over a (p, extractor, k) grid, plus summary row
 
 Report bytes depend only on the configuration (including seeds), never on
 cache warmth or wall time, so reruns are byte-identical and diffable.
 Timing and cache-hit information goes to stderr only; the enumeration
-cache serves jacobian and the Monte-Carlo mode, and exact tallies never
-touch it.  Exit codes:
+cache serves jacobian alone, and extract-sd and sweep never touch it.
+Exit codes:
 0 success (warnings allowed), 2 configuration/validation error, 3 budget
 exceeded.
 """
@@ -343,15 +343,14 @@ def _extract_row(
     budget: int,
     command: str,
 ) -> dict:
-    """Shared by extract-sd and sweep.  An exact row counts classes per u
-    and never enumerates; a Monte-Carlo row draws from the enumeration,
-    which the caller has loaded, and takes |J| from it."""
+    """Shared by extract-sd and sweep.  Neither mode enumerates: an exact
+    row counts classes per u, a Monte-Carlo row places its draws on the
+    counted runs of classes per u."""
     if mode == "exact":
         tally = exact_output_distribution(curve, kind, k, budget)
-        order = curve.jacobian_order(budget)
     else:
         tally = monte_carlo_distribution(curve, kind, k, samples, seed, budget)
-        order = len(curve.enumerate_jacobian(budget))
+    order = curve.jacobian_order(budget)
     rep = sd_report(curve, kind, k, tally, mode=mode, samples=samples, seed=seed)
     return (
         _extract_cell(command, curve, kind, k, mode, samples, seed)
@@ -380,11 +379,7 @@ def cmd_extract_sd(args: argparse.Namespace) -> int:
         samples = seed = None
 
     t0 = time.perf_counter()
-    if mode == "exact":
-        how = "tally = counted"
-    else:
-        _, source = cache.ensure_jacobian(curve, cfg.get("cache_dir"), budget)
-        how = f"enumeration = {source}"
+    how = "tally = counted" if mode == "exact" else "tally = sampled"
     row = _extract_row(curve, kind, k, mode, samples, seed, budget, "extract-sd")
     emit_report(cfg, "extract-sd", EXTRACT_COLUMNS, [row])
     ms = (time.perf_counter() - t0) * 1000.0
@@ -629,7 +624,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with defaults for any option")
     sub.add_argument("--out", help="write the report here instead of stdout")
     sub.add_argument("--format", choices=["csv", "json"], help="report format (default csv)")
-    sub.add_argument("--cache-dir", dest="cache_dir", help="Jacobian cache directory for jacobian and montecarlo (default $XJAC_CACHE_DIR)")
+    sub.add_argument("--cache-dir", dest="cache_dir", help="Jacobian cache directory for jacobian (default $XJAC_CACHE_DIR)")
     sub.add_argument("--budget", type=int, help="work cap before BudgetExceeded (default 10^6)")
 
 

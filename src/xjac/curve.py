@@ -28,8 +28,9 @@ d^2 - b*c^2 = r0, so checking a divisor costs O(1) field operations and
 enumerating the Jacobian solves a quadratic for c^2 per u, O(q^2) in all.
 
 The extractors read a class only through u, so value_counts tallies the
-classes by u without building any of them: #v(u), the number of reduced
-[u, v], is (Cantor, Math. Comp. 48, 1987)
+classes by u, and _class_runs walks them in enumeration order, without
+building any of them: #v(u), the number of reduced [u, v], is (Cantor,
+Math. Comp. 48, 1987)
 
     deg u = 0:                 1 (the neutral class)
     u = x - x1:                w1[x1] = #sqrt(f(x1))
@@ -637,6 +638,41 @@ class HyperellipticCurve:
             sums[neg(a)] += row
         self._counts = ValueCounts(1 + sum(sums), tuple(sums), tuple(products))
         return self._counts
+
+    def _class_runs(self):
+        """(first index, #v(u), u0, u1) for each u = x^2 + u1*x + u0, or
+        x + u0 with u1 None, that carries a class, in enumerate_jacobian's
+        order (the classes of one u are contiguous there); #v(u) from the
+        table in the module docstring, with O(q) memory."""
+        K = self.field
+        add, sub, mul, neg = K._add, K._sub, K._mul, K._neg
+        sqrt = self._sqrt_table()
+        w1 = [len(sqrt[raw_eval(K, self._fraw, x)]) for x in range(K.q)]
+        i = 1
+        for x, n in enumerate(w1):
+            if n:
+                yield i, n, neg(x), None
+                i += n
+        # x^2 + a*x + b = (x - h)^2 - (h^2 - b) with h = -a/2
+        half = K._inv(add(1, 1))
+        hs = [neg(mul(a, half)) for a in range(K.q)]
+        hh = [mul(h, h) for h in hs]
+        fmod = self._f_mod_quadratic
+        for b in range(K.q):
+            for a in range(K.q):
+                h = hs[a]
+                disc = sub(hh[a], b)
+                if not disc:  # (x - h)^2
+                    n = 2 if w1[h] == 2 else 0
+                elif sqrt[disc]:  # (x - h - s)(x - h + s)
+                    s = sqrt[disc][0]
+                    n = w1[add(h, s)] * w1[sub(h, s)]
+                else:  # irreducible
+                    r1, r0 = fmod(a, b)
+                    n = len(sqrt[add(sub(mul(r0, r0), mul(a, mul(r0, r1))), mul(b, mul(r1, r1)))])
+                if n:
+                    yield i, n, b, a
+                    i += n
 
     def jacobian_order(self, budget: int = DEFAULT_BUDGET) -> int:
         """|J|, counted (value_counts), not enumerated."""

@@ -5,14 +5,14 @@ probability are computed over Q (fractions.Fraction); floats only appear
 at the reporting edge.  Sampling uses a counter-based splitmix64 stream
 with rejection, so runs are reproducible across platforms from a seed.
 
-The two distributions take different routes.  An exact tally never
-builds a divisor: extractors read a class [u, v] only through u (the
-sum -u1 or the product u0 of its abscissas), so it adds up
-HyperellipticCurve.value_counts, #v(u) for every monic u of degree <= 2
-(Cantor, Math. Comp. 48, 1987), one O(q^2) pass per curve shared by every
-(extractor, k).  A Monte-Carlo tally draws indices into the enumerated
-Jacobian (enumerate_jacobian), which also stays the tests' oracle for the
-counted tallies.
+Neither distribution builds a divisor: extractors read a class [u, v]
+only through u (the sum -u1 or the product u0 of its abscissas).  An
+exact tally adds up HyperellipticCurve.value_counts, #v(u) for every
+monic u of degree <= 2 (Cantor, Math. Comp. 48, 1987), one O(q^2) pass
+per curve shared by every (extractor, k).  A Monte-Carlo tally draws
+indices into enumerate_jacobian's canonical order and places them on the
+curve's runs of classes per u (_class_runs, the same #v(u) in that
+order).  The enumeration stays the tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -242,28 +242,33 @@ def monte_carlo_distribution(
     seed: int,
     budget: int = DEFAULT_BUDGET,
 ) -> Tally:
-    """Outcome tally over `samples` divisors drawn uniformly (splitmix64
-    stream from `seed`) from the enumerated Jacobian.
+    """Outcome tally over `samples` classes drawn uniformly (splitmix64
+    stream from `seed`) by index into enumerate_jacobian's order.
 
-    Extractors read only the class, so each drawn class is extracted (and
-    so validated) once per call, the first time it is drawn; later draws
-    of it reuse that outcome index."""
+    Sampled, not enumerated: the sorted draws are placed on the runs of
+    classes that share a u (curve._class_runs), and each takes the value
+    its u gives the extractor.  The neutral class goes through extract,
+    which rejects a kind or k that does not fit before any counting."""
     if type(samples) is not int or samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
-    J = curve.enumerate_jacobian(budget)
+    curve.require_jacobian_budget(budget)
+    field = curve.field
+    p, neg = field.p, field._neg
+    outcome = {0: outcome_index(kind, p, extract(curve, curve.zero(), kind, k))}
+    order = curve.jacobian_order(budget)
     src = RandomSource(seed)
-    p = curve.field.p
-    m = outcome_count(kind, curve.field, k)
-    order = len(J)
-    memo: list[int | None] = [None] * order
-    counts: dict[int, int] = {}
-    for _ in range(samples):
-        i = src.next_below(order)
-        idx = memo[i]
-        if idx is None:
-            idx = memo[i] = outcome_index(kind, p, extract(curve, J[i], kind, k))
-        counts[idx] = counts.get(idx, 0) + 1
-    return Tally(m, counts)
+    draws = [src.next_below(order) for _ in range(samples)]
+    by_value = [outcome_index(kind, p, value_output(field, kind, v, k)) for v in range(field.q)]
+    todo = sorted(set(draws).difference(outcome)) + [order]  # no run reaches order
+    runs, j = curve._class_runs(), 0
+    while todo[j] < order:
+        first, n, u0, u1 = next(runs)
+        if todo[j] < first + n:
+            idx = by_value[neg(u0) if u1 is None else u0 if kind.uses_product else neg(u1)]
+            while todo[j] < first + n:
+                outcome[todo[j]] = idx
+                j += 1
+    return Tally.from_outcomes(outcome_count(kind, field, k), (outcome[i] for i in draws))
 
 
 # -- assembled report ------------------------------------------------------------

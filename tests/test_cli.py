@@ -328,11 +328,14 @@ class TestCache:
                 "--extractor", "sum", "--k", "2", "--mode", "montecarlo",
                 "--samples", "2000", "--seed", "5", "--cache-dir", str(cache)]
 
+        # Monte-Carlo samples counted runs of classes, so it leaves the
+        # cache empty and the second run matches the first byte for byte
         code, cold, err = run(capsys, argv)
-        assert code == 0 and "enumeration = computed" in err
+        assert code == 0 and "tally = sampled" in err
         code, warm, err = run(capsys, argv)
-        assert code == 0 and "enumeration = cache" in err
+        assert code == 0 and "tally = sampled" in err
         assert warm == cold and rows_of(cold)
+        assert not cache.exists() or not os.listdir(cache)
 
     def test_exact_paths_neither_read_nor_write_the_cache(self, capsys, tmp_path):
         cache = tmp_path / "cache"
@@ -350,12 +353,14 @@ class TestCache:
                 assert "tally = counted" in err
 
         mc = [*exact[0], "--mode", "montecarlo", "--samples", "100", "--seed", "1"]
-        code, _, err = run(capsys, [*mc, "--cache-dir", str(cache)])
-        assert code == 0 and "enumeration = computed" in err
-        assert len(os.listdir(cache)) == 1
+        code, first, err = run(capsys, [*mc, "--cache-dir", str(cache)])
+        assert code == 0 and "enumeration" not in err and "tally = sampled" in err
+        assert not cache.exists() or not os.listdir(cache)
+        code, again, _ = run(capsys, [*mc, "--cache-dir", str(cache)])
+        assert code == 0 and again == first
         code, _, _ = run(capsys, ["jacobian", "--p", "11", "--f", "1,1,0,0,0,1",
                                   "--cache-dir", str(cache)])
-        assert code == 0 and len(os.listdir(cache)) == 2
+        assert code == 0 and len(os.listdir(cache)) == 1
 
     def test_exact_paths_never_enumerate(self, capsys, monkeypatch):
         argvs = [
@@ -363,11 +368,14 @@ class TestCache:
             ["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1",
              "--extractor", "sum", "--k", "2"],
             TestSweep.ARGV,
+            ["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1",
+             "--extractor", "prod", "--k", "2", "--mode", "montecarlo",
+             "--samples", "500", "--seed", "3"],
         ]
         before = [run(capsys, argv)[1] for argv in argvs]
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("an exact path enumerated or used the cache")
+            raise AssertionError("extract-sd or sweep enumerated or used the cache")
 
         monkeypatch.setattr(HyperellipticCurve, "enumerate_jacobian", forbidden)
         for name in ("ensure_jacobian", "load", "save"):

@@ -2,7 +2,10 @@
 cross-checked against polynomial division), Cantor arithmetic (the
 closed-form weight-2 path cross-checked against Cantor's algorithm),
 Jacobian enumeration (cross-checked against naive and O(q^3) scan oracles
-and the zeta-function identity for #J) and budgets."""
+and the zeta-function identity for #J), the counted runs of classes per u
+and budgets."""
+
+import itertools
 
 import pytest
 
@@ -542,6 +545,35 @@ class TestEnumeration:
                     products[u0] += 1
             counted = curve.value_counts()
             assert counted.order == len(J) == curve.jacobian_order()
+            assert list(counted.sums) == sums and list(counted.products) == products
+
+    @pytest.mark.parametrize("p,n", [(7, 1), (31, 1), (67, 1), (3, 2), (5, 2), (3, 4)])
+    def test_class_runs_match_enumeration_and_counts(self, p, n):
+        """_class_runs against enumerate_jacobian grouped by u, and its
+        per-value totals against value_counts: two routes to #v(u)."""
+        K = finite_field(p, n)
+        for seed in range(3 if K.q < 50 else 1):
+            curve = seeded_quintic(K, 500 * p + 10 * n + seed)
+            runs = list(curve._class_runs())
+            J = curve.enumerate_jacobian()
+            by_u = itertools.groupby(J[1:], key=lambda D: D.u.coeffs)
+            grouped = [(len(list(g)), u) for u, g in by_u]
+            assert [
+                (m, (u0, 1) if u1 is None else (u0, u1, 1)) for _, m, u0, u1 in runs
+            ] == grouped, (p, n, curve.f)
+            # contiguous from index 1, ending at |J|
+            ends = [1] + [first + m for first, m, _, _ in runs]
+            assert [first for first, _, _, _ in runs] == ends[:-1]
+            counted = curve.value_counts()
+            assert ends[-1] == counted.order
+            sums, products = [0] * K.q, [0] * K.q
+            for _, m, u0, u1 in runs:
+                if u1 is None:
+                    sums[K.neg(u0)] += m
+                    products[K.neg(u0)] += m
+                else:
+                    sums[K.neg(u1)] += m
+                    products[u0] += m
             assert list(counted.sums) == sums and list(counted.products) == products
 
     def test_counting_builds_no_divisor(self, F11):

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xjac import stats
-from xjac.curve import HyperellipticCurve, MumfordDivisor
+from xjac.curve import HyperellipticCurve
 from xjac.errors import (
     BudgetExceededError,
-    InvalidDivisorError,
     KOutOfRangeError,
     RequiresPrimeFieldError,
 )
@@ -24,7 +23,6 @@ from xjac.extractors import (
     outcome_index,
 )
 from xjac.field import finite_field
-from xjac.poly import Poly
 from xjac.stats import (
     RandomSource,
     SDReport,
@@ -429,7 +427,8 @@ MC_CASES = [(name, kind) for name in ("c7", "c11") for kind in ExtractorKind] + 
 
 
 class TestMonteCarloMemo:
-    """monte_carlo_distribution extracts each drawn class once per call."""
+    """monte_carlo_distribution places its draws on the counted runs of
+    classes per u; the per-sample tally over the enumeration is its oracle."""
 
     @pytest.mark.parametrize("name,kind", MC_CASES)
     @pytest.mark.parametrize("seed", [0, 7, 2024])
@@ -446,38 +445,38 @@ class TestMonteCarloMemo:
             assert list(got.counts) == list(want.counts)
 
     @pytest.mark.parametrize("name", ["c7", "c9", "c27"])
-    def test_extracts_each_drawn_class_once(self, request, monkeypatch, name):
+    def test_extracts_only_the_neutral_class(self, request, monkeypatch, name):
         curve = request.getfixturevalue(name)
-        J = curve.enumerate_jacobian()
         calls = []
 
         def counting_extract(c, D, kind, k):
             calls.append(D)
             return extract(c, D, kind, k)
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Monte-Carlo enumerated the Jacobian")
+
         monkeypatch.setattr(stats, "extract", counting_extract)
-        for samples in (len(J) // 3, 4 * len(J)):
+        monkeypatch.setattr(HyperellipticCurve, "enumerate_jacobian", forbidden)
+        order = curve.jacobian_order()
+        for samples in (order // 3, 4 * order):
             calls.clear()
             monte_carlo_distribution(curve, ExtractorKind.SUM, 1, samples, seed=5)
-            src = RandomSource(5)
-            drawn = {src.next_below(len(J)) for _ in range(samples)}
-            assert len(calls) == len(drawn) <= min(samples, len(J))
-            assert len(set(calls)) == len(calls)
+            assert calls == [curve.zero()]
 
-    def test_invalid_class_raises_when_first_drawn(self):
-        curve = HyperellipticCurve(finite_field(7), "1,0,0,0,0,1")
-        K = curve.field
-        J = list(curve.enumerate_jacobian())
-        # u = x^2 + 1, v = 0 does not satisfy v^2 = f mod u over F_7
-        bad = MumfordDivisor(Poly(K, (1, 0, 1)), Poly(K, ()))
-        assert not curve.is_valid_divisor(bad)
-        J[1] = bad
-        curve.preload_enumeration(J)
-        src = RandomSource(3)
-        first = 0
-        while src.next_below(len(J)) != 1:
-            first += 1
-        if first:
-            monte_carlo_distribution(curve, ExtractorKind.SUM, 1, first, seed=3)
-        with pytest.raises(InvalidDivisorError):
-            monte_carlo_distribution(curve, ExtractorKind.SUM, 1, first + 1, seed=3)
+    def test_sampling_builds_no_divisor(self):
+        curve = fresh_curve(13, 1, "1,2,0,0,0,1")
+        for kind in ExtractorKind:
+            monte_carlo_distribution(curve, kind, 1, 1000, seed=4)
+        assert curve._jacobian is None and curve._counts is not None
+
+    def test_errors_before_any_count(self):
+        curve = fresh_curve(7, 1, "1,0,0,0,0,1")
+        with pytest.raises(KOutOfRangeError):
+            monte_carlo_distribution(curve, ExtractorKind.SUM, 2, 10, seed=1)
+        with pytest.raises(BudgetExceededError):
+            monte_carlo_distribution(curve, ExtractorKind.SUM, 1, 10, seed=1, budget=10)
+        ext = fresh_curve(3, 2, "1,0,0,0,0,1")
+        with pytest.raises(RequiresPrimeFieldError):
+            monte_carlo_distribution(ext, ExtractorKind.PK, 1, 10, seed=1)
+        assert curve._counts is None and ext._counts is None
