@@ -190,32 +190,74 @@ def _json_value(val):
     return val
 
 
+def _json_scalar(val) -> str:
+    """The JSON text of one report cell, at reporting precision."""
+    return json.dumps(_json_value(val))
+
+
+def _float_text(val: float, texts: dict, fmt) -> str:
+    """fmt(val) memoised per report in texts.  Zeros are not memoised:
+    0.0 and -0.0 are equal keys with different texts."""
+    if not val:
+        return fmt(val)
+    text = texts.get(val)
+    if text is None:
+        text = texts[val] = fmt(val)
+    return text
+
+
 def render_csv(columns: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in columns])
+    texts: dict = {}
+    writer.writerows(
+        [
+            _float_text(v, texts, _csv_cell) if type(v) is float else _csv_cell(v)
+            for v in map(row.get, columns)
+        ]
+        for row in rows
+    )
     return buf.getvalue()
 
 
-# indent=2 makes json.dumps fall back to the pure-Python encoder, so a
-# row goes through the C encoder with indent=2's separators instead: for a
-# flat dict that gives indent=2's bytes except the line breaks after "{"
-# and before "}", which render_json adds with the nesting around the rows
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+# the encoder json.dumps uses for a str, ensure_ascii included
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_row(heads: list, row: dict, texts: dict) -> str:
+    """One row as indent=2 lays it out inside "rows"; heads pairs each
+    sorted column with the text that comes before its value."""
+    cells = []
+    for head, col in heads:
+        val = row.get(col)
+        kind = type(val)
+        if kind is float:
+            cells.append(head + _float_text(val, texts, _json_scalar))
+        elif kind is str:
+            cells.append(head + _encode_str(val))
+        elif kind is int:
+            cells.append(head + repr(val))
+        elif val is None:
+            cells.append(head + "null")
+        else:
+            cells.append(head + _json_scalar(val))
+    cells.append("\n    }")
+    return "".join(cells)
 
 
 def render_json(command: str, columns: list[str], rows: list[dict]) -> str:
     """json.dumps({"schema", "command", "rows"}, sort_keys=True, indent=2)
-    plus a newline, byte for byte; columns is non-empty."""
-    encode = _ROW_ENCODER.encode
-    body = ",\n    ".join(
-        "{\n      "
-        + encode({col: _json_value(row.get(col)) for col in columns})[1:-1]
-        + "\n    }"
-        for row in rows
-    )
+    plus a newline, byte for byte; columns is non-empty and every cell a
+    JSON scalar.  indent=2 makes json.dumps fall back to the pure-Python
+    encoder, so the layout is written here, each key encoded once per
+    report and each distinct float formatted once."""
+    heads = [
+        (("{" if i == 0 else ",") + "\n      " + _encode_str(col) + ": ", col)
+        for i, col in enumerate(sorted(set(columns)))
+    ]
+    texts: dict = {}
+    body = ",\n    ".join(_json_row(heads, row, texts) for row in rows)
     rows_text = f"[\n    {body}\n  ]" if rows else "[]"
     return (
         f'{{\n  "command": {json.dumps(command)},\n  "rows": {rows_text},\n'
@@ -478,25 +520,26 @@ def cmd_charsum(args: argparse.Namespace) -> int:
             root_q = math.sqrt(q)
             for c0 in range(q):
                 for c1 in range(q):
+                    # everything but a and the sum is fixed per P
                     P = Poly(field, (c0, c1, 1))
                     pstr = P.to_string()
+                    prefix = (
+                        f"charsum-mordell-p{field.p}-n{field.n}"
+                        f"-u{pstr.replace(',', '.')}-a"
+                    )
+                    fixed = base | {"poly": pstr, "expected": root_q}
                     for a in range(1, q):
                         rep = poly_char_sum(field, P, a)
                         gauss_ok = abs(rep.magnitude - root_q) <= 1e-6 * root_q
-                        rows.append(
-                            base | vars(rep) | {
-                                "experiment_id": (
-                                    f"charsum-mordell-p{field.p}-n{field.n}"
-                                    f"-u{pstr.replace(',', '.')}-a{a}"
-                                ),
-                                "a": a,
-                                "poly": pstr,
-                                "expected": root_q,
-                                "status": "pass"
-                                if (gauss_ok and rep.magnitude <= rep.bound)
-                                else "fail",
-                            }
-                        )
+                        rows.append({
+                            **fixed,
+                            **vars(rep),
+                            "experiment_id": f"{prefix}{a}",
+                            "a": a,
+                            "status": "pass"
+                            if (gauss_ok and rep.magnitude <= rep.bound)
+                            else "fail",
+                        })
         else:  # winterhof
             for basis in bases:
                 rep = winterhof_sum(field, AdditiveSubgroup(field, basis), budget)

@@ -1,15 +1,25 @@
 """End-to-end CLI behaviour: reports, exit codes, caching, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import random
 
 import pytest
 
 from xjac import cli
-from xjac.cli import SCHEMA_VERSION, _json_value, build_parser, main, render_json
+from xjac.cli import (
+    SCHEMA_VERSION,
+    _csv_cell,
+    _json_value,
+    build_parser,
+    main,
+    render_csv,
+    render_json,
+)
 from xjac.curve import HyperellipticCurve
 
 
@@ -34,6 +44,16 @@ def json_reference(command, columns, rows):
         "rows": [{col: _json_value(row.get(col)) for col in columns} for row in rows],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def csv_reference(columns, rows):
+    """The CSV report the direct way: _csv_cell per cell into csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_csv_cell(row.get(col)) for col in columns])
+    return buf.getvalue()
 
 
 class TestJacobian:
@@ -231,6 +251,39 @@ class TestCharsum:
     def test_unknown_mode(self, capsys):
         code, _, _ = run(capsys, ["charsum", "--mode", "gauss", "--p", "7"])
         assert code == 2
+
+    def test_mordell_one_poly_char_sum_per_row(self, capsys, monkeypatch):
+        calls = []
+        checked = cli.poly_char_sum
+
+        def record(field, P, a):
+            calls.append((P.coeffs, a))
+            return checked(field, P, a)
+
+        monkeypatch.setattr(cli, "poly_char_sum", record)
+        code, out, _ = run(capsys, ["charsum", "--mode", "mordell", "--p", "5"])
+        assert code == 0
+        rows = rows_of(out)
+        assert len(calls) == len(set(calls)) == len(rows) == 25 * 4
+        assert [(r["poly"], r["a"]) for r in rows] == [
+            (",".join(map(str, coeffs)), str(a)) for coeffs, a in calls
+        ]
+
+    # SHA-256 of stdout, taken from the renderer that encoded each row with
+    # json.dumps and each CSV cell with _csv_cell, before the per-report
+    # key and float memo replaced it
+    @pytest.mark.parametrize("argv, digest", [
+        (["--mode", "mordell", "--p", "7", "--format", "json"],
+         "0c310e54a025d978d85e541682d7192d3da57896b2294b6fba1f714993b93078"),
+        (["--mode", "mordell", "--p", "7", "--format", "csv"],
+         "47d01bf2d0587a4ab67341727b68a4c770dd7c3694f42d6e1ed1e036b5ccc11c"),
+        (["--mode", "interval", "--p", "13", "--format", "json"],
+         "4af4b86f9bc0d2add6a42f632f67595c77771030710cb55b0eaf3f41bfcfc704"),
+    ], ids=["mordell-json", "mordell-csv", "interval-json"])
+    def test_report_bytes_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, ["charsum", *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 class TestSweep:
@@ -557,6 +610,60 @@ class TestOutputFormats:
         assert text == json_reference("charsum", columns, [row, dict(row, s="")])
         assert "NaN" in text and "-Infinity" in text and "\\u00e9" in text
         assert render_json("sweep", columns, []) == json_reference("sweep", columns, [])
+
+    # render_json and render_csv memoise float texts per report; each case
+    # is one column "x" over several rows, plus a string column "s"
+    MEMO_CASES = {
+        "signed-zeros": [0.0, -0.0, 0.0, -0.0, 1.5, -0.0],
+        "nan-objects": [math.nan, math.nan, float("nan"), float("nan"),
+                        math.inf, -math.inf, math.inf],
+        "one-int-float-bool": [1, 1.0, True, 1.0, 1, True, 0, 0.0, False],
+        "twelve-digits": [0.1 + 0.2, 0.3, 1e-7, 1e16, 123456789012345.0,
+                          0.1 + 0.2, 1e-7, 2.0 / 3.0, -2.0 / 3.0],
+    }
+
+    @pytest.mark.parametrize("case", list(MEMO_CASES))
+    def test_render_float_memo_edge_cases(self, case):
+        columns = ["x", "s"]
+        rows = [{"x": x, "s": f"r{i}"} for i, x in enumerate(self.MEMO_CASES[case])]
+        assert render_json("charsum", columns, rows) == json_reference("charsum", columns, rows)
+        assert render_csv(columns, rows) == csv_reference(columns, rows)
+
+    def test_render_float_memo_texts(self):
+        columns = ["x"]
+        rows = [{"x": x} for x in (0.0, -0.0, 1, 1.0, True, 0.1 + 0.2, 1e-7,
+                                   1e16, 123456789012345.0, math.nan, -math.inf)]
+        cells = [r["x"] for r in json.loads(render_json("charsum", columns, rows))["rows"]]
+        assert list(map(repr, cells)) == [
+            "0.0", "-0.0", "1", "1.0", "True", "0.3", "1e-07", "1e+16",
+            "123456789012000.0", "nan", "-inf",
+        ]
+        assert render_csv(columns, rows).split("\n")[1:-1] == [
+            "0", "-0", "1", "1", "true", "0.3", "1e-07", "1e+16",
+            "1.23456789012e+14", "nan", "-inf",
+        ]
+
+    def test_render_seeded_random_rows(self):
+        rng = random.Random(20171)
+        pool = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, 0.1 + 0.2, 1e-7,
+                None, True, False, 0, 1, -7, 2**70, "", "a,b", 'q"\n', "\u00e9"]
+        columns = ["a", "b", "c", "d", "e"]
+        rows = []
+        for _ in range(200):
+            row = {}
+            for col in columns:
+                pick = rng.random()
+                if pick < 0.1:
+                    continue  # a missing column renders as None
+                if pick < 0.5:
+                    row[col] = rng.choice(pool)
+                elif pick < 0.8:
+                    row[col] = rng.choice([1.0, 2.5, math.sqrt(2)]) * rng.choice([1, -1, 1e-9, 1e15])
+                else:
+                    row[col] = rng.uniform(-1e6, 1e6)
+            rows.append(row)
+        assert render_json("sweep", columns, rows) == json_reference("sweep", columns, rows)
+        assert render_csv(columns, rows) == csv_reference(columns, rows)
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 2

@@ -393,6 +393,18 @@ class TestConstructionErrors:
         custom = FiniteField(3, 2, (2, 2, 1))
         assert custom != finite_field(3, 2)  # different modulus
 
+    def test_field_hash_and_equality_by_value(self):
+        # an uncached copy equals and hashes like the shared instance
+        for p, n in ((7, 1), (3, 2), (3, 7)):
+            shared = finite_field(p, n)
+            copy = FiniteField(p, n)
+            assert copy is not shared and copy == shared and shared == copy
+            assert hash(copy) == hash(shared) == hash((p, n, shared.modulus))
+            assert {shared: 1}[copy] == 1
+        custom = FiniteField(3, 2, (2, 2, 1))
+        assert custom == custom and hash(custom) == hash((3, 2, (2, 2, 1)))
+        assert custom.__eq__(object()) is NotImplemented
+
 
 @given(st.integers(min_value=0, max_value=3**4 - 1), st.integers(min_value=0, max_value=3**4 - 1))
 @settings(max_examples=200)
