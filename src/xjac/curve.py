@@ -5,22 +5,21 @@ single point at infinity and every divisor class has a unique reduced
 Mumford representative [u, v] with u monic, deg u <= 2, deg v < deg u
 and u | v^2 - f.  The neutral class is [1, 0].
 
-Group operations run on raw coefficient lists (poly.raw_*) and only wrap
-results, which keeps the exhaustive group-law sweeps in the test-suite
-fast enough to be routine.  The generic case, adding two weight-2 classes
-whose u are coprime or doubling one whose u and v are coprime, uses
-closed-form formulas with one field inversion (Cantor, Math. Comp. 48,
-1987; Lange, AAECC 15, 2005); every other case, and a generic one whose
-sum has weight below 2, goes through Cantor's composition and reduction,
-which is also the oracle the tests check the formulas against.
+Group operations run on raw coefficient lists (poly.raw_*) and wrap
+results without checking again what the curve computed itself, which
+keeps the exhaustive group-law sweeps in the test-suite fast enough to be
+routine.
 
-The closed form exists twice, line for line the same: _weight2_prime_raw
-on plain ints with % p for prime fields, and _weight2_raw through the
-field's operations for extension fields, whose elements are encodings
-that + and * do not act on.  The prime copy is there for large-q scalar
-multiplication (at p = 1000003 every composition takes the closed form),
-where a function call per field operation cost more than the arithmetic;
-each curve picks its copy once, from the field's degree.
+There is one closed form, for prime fields: adding two weight-2 classes
+whose u are coprime, or doubling one whose u and v are coprime, takes
+formulas with one field inversion on plain ints (Cantor, Math. Comp. 48,
+1987; Lange, AAECC 15, 2005).  It serves large-q scalar multiplication,
+where at p = 1000003 every composition takes it.  Every other case, a
+generic one whose sum has weight below 2, and every composition over an
+extension field go through Cantor's composition and reduction, which is
+also the oracle the tests check the formulas against.  Extension fields
+compose by Cantor's algorithm because no workload composes over them at
+scale.
 
 Validity and enumeration work from f mod u: with u = x^2 + a*x + b,
 f == r1*x + r0 and v = c*x + d, u | v^2 - f reads 2cd - a*c^2 = r1 and
@@ -161,7 +160,7 @@ class HyperellipticCurve:
     characteristic field."""
 
     __slots__ = (
-        "field", "f", "_fraw", "_weight2", "_sqrt", "_points", "_jacobian", "_counts"
+        "field", "f", "_fraw", "_prime", "_sqrt", "_points", "_jacobian", "_counts"
     )
 
     def __init__(self, field: FiniteField, f):
@@ -180,14 +179,7 @@ class HyperellipticCurve:
         self.field = field
         self.f = f
         self._fraw = list(f.coeffs)
-        # the closed form _cantor_raw uses, fixed by the field; a function,
-        # not a bound method, which would tie the curve (and its cached
-        # enumeration) into a reference cycle that outlives its last use
-        self._weight2 = (
-            HyperellipticCurve._weight2_prime_raw
-            if field.n == 1
-            else HyperellipticCurve._weight2_raw
-        )
+        self._prime = field.n == 1  # the closed form works on plain ints
         self._sqrt = None
         self._points = None
         self._jacobian = None
@@ -247,7 +239,8 @@ class HyperellipticCurve:
     def is_valid_divisor(self, D) -> bool:
         """True when D is a MumfordDivisor over this curve's field with
         u | v^2 - f; anything else, tuples included, is False.  The
-        reduced shape is already enforced by MumfordDivisor itself."""
+        reduced shape is enforced by MumfordDivisor's constructor, or by
+        construction for divisors the curve builds (_wrap_divisor)."""
         if not isinstance(D, MumfordDivisor):
             return False
         u, v = D.u, D.v
@@ -287,100 +280,30 @@ class HyperellipticCurve:
     # -- group law ------------------------------------------------------------
 
     def _cantor_raw(self, u1, v1, u2, v2) -> tuple[list, list]:
-        """One group operation on raw lists: the closed-form weight-2 add
-        or double when it applies, Cantor's algorithm otherwise."""
-        if len(u1) == 3 and len(u2) == 3:
-            out = self._weight2(self, u1, v1, u2, v2)
+        """One group operation on raw lists: over a prime field the
+        closed-form weight-2 add or double when it applies, Cantor's
+        algorithm otherwise."""
+        if self._prime and len(u1) == 3 and len(u2) == 3:
+            out = self._weight2_prime_raw(u1, v1, u2, v2)
             if out is not None:
                 return out
         return self._cantor_general_raw(u1, v1, u2, v2)
 
-    def _weight2_raw(self, u1, v1, u2, v2) -> tuple[list, list] | None:
-        """Closed-form sum of two weight-2 classes, or None when the
-        generic formulas do not apply (Cantor 1987; Lange, AAECC 15, 2005).
-        Serves extension fields; prime fields use _weight2_prime_raw, the
-        same formulas on plain ints.
+    def _weight2_prime_raw(self, u1, v1, u2, v2) -> tuple[list, list] | None:
+        """Closed-form sum of two weight-2 classes over F_p, or None when
+        the generic formulas do not apply (Cantor 1987; Lange, AAECC 15,
+        2005).
 
         With s = s1*x + s0 the linear polynomial that makes V = v1 + s*u1
         agree with v2 mod u2 (add) or satisfy V^2 == f mod u1^2 (double),
         [u1*u2, V] is Cantor's composition and one reduction step gives
         u' = (f - V^2)/(u1*u2) made monic and v' = -V mod u'.  Applies when
         s1 != 0 and Res(u1, u2) != 0 (add) or Res(u1, 2*v1) != 0 (double);
-        costs one field inversion."""
-        K = self.field
-        add, sub, mul = K._add, K._sub, K._mul
-        a0, a1, _ = u1
-        b0 = v1[0] if v1 else 0
-        b1 = v1[1] if len(v1) > 1 else 0
-        double = u1 == u2 and v1 == v2
-        if double:
-            # s = ((f - v^2)/u) * (2v)^-1 mod u; k = (f - v^2)/u, then k mod u
-            f = self._fraw
-            k2 = sub(f[4], a1)
-            k1 = sub(sub(f[3], a0), mul(a1, k2))
-            k0 = sub(sub(sub(f[2], mul(b1, b1)), mul(a1, k1)), mul(a0, k2))
-            t = sub(k2, a1)
-            w1 = sub(sub(k1, a0), mul(t, a1))
-            w0 = sub(k0, mul(t, a0))
-            # invert v mod u below; the factor 2 goes into r
-            c1, c0, z1, z0 = a1, a0, b1, b0
-            m3 = add(a1, a1)
-            m2 = add(mul(a1, a1), add(a0, a0))
-        else:
-            # s = (v2 - v1) * u1^-1 mod u2
-            c0, c1 = u2[0], u2[1]
-            z1, z0 = sub(a1, c1), sub(a0, c0)
-            d0 = v2[0] if v2 else 0
-            d1 = v2[1] if len(v2) > 1 else 0
-            w1, w0 = sub(d1, b1), sub(d0, b0)
-            m3 = add(a1, c1)
-            m2 = add(add(a0, c0), mul(a1, c1))
-        # (z1*x + z0)^-1 == (-z1*x + z0 - c1*z1)/r mod x^2 + c1*x + c0
-        c1z1 = mul(c1, z1)
-        r = add(sub(mul(z0, z0), mul(c1z1, z0)), mul(mul(c0, z1), z1))
-        if not r:
-            return None
-        if double:
-            r = add(r, r)
-        y1, y0 = K._neg(z1), sub(z0, c1z1)
-        # s * r = w * y mod u2
-        w1y1 = mul(w1, y1)
-        s1 = sub(add(mul(w1, y0), mul(w0, y1)), mul(c1, w1y1))
-        if not s1:
-            return None
-        s0 = sub(mul(w0, y0), mul(c0, w1y1))
-        inv = K._inv(mul(r, s1))  # 1/(r*s1)
-        ir = mul(inv, s1)  # 1/r
-        s1, s0 = mul(s1, ir), mul(s0, ir)
-        is1 = mul(r, mul(r, inv))  # 1/s1
-        is1sq = mul(is1, is1)
-        V3 = s1
-        V2 = add(s0, mul(s1, a1))
-        V1 = add(add(mul(s0, a1), mul(s1, a0)), b1)
-        V0 = add(mul(s0, a0), b0)
-        # top coefficients of V^2 - f (f is monic); its quotient by u1*u2
-        # is s1^2 * u'
-        n5 = sub(mul(add(V3, V3), V2), 1)
-        n4 = sub(add(mul(V2, V2), mul(add(V3, V3), V1)), self._fraw[4])
-        e1 = sub(mul(n5, is1sq), m3)
-        e0 = sub(sub(mul(n4, is1sq), m2), mul(e1, m3))
-        # v' = -(V mod x^2 + e1*x + e0)
-        t2 = sub(V2, mul(V3, e1))
-        R1 = sub(sub(V1, mul(V3, e0)), mul(t2, e1))
-        R0 = sub(V0, mul(t2, e0))
-        neg = K._neg
-        if R1:
-            return [e0, e1, 1], [neg(R0), neg(R1)]
-        return [e0, e1, 1], [neg(R0)] if R0 else []
-
-    def _weight2_prime_raw(self, u1, v1, u2, v2) -> tuple[list, list] | None:
-        """_weight2_raw over a prime field F_p: the same formulas, names and
-        None cases line for line, on plain ints with + - * inline.  % p is
-        taken where a value must be canonical (before a zero test, before
-        the inversion, on the outputs) and on s1, s0 and 1/s1^2 after the
-        inversion, which keeps the products that follow from growing.  A
-        K._add/_sub/_mul call per operation cost more than the arithmetic;
-        extension-field elements are encodings, so they keep _weight2_raw."""
+        costs one field inversion.  Plain ints with + - * inline, which
+        cost less than a K._add/_sub/_mul call each; % p is taken where a
+        value must be canonical (before a zero test, before the inversion,
+        on the outputs) and on s1, s0 and 1/s1^2 after the inversion,
+        which keeps the products that follow from growing."""
         p = self.field.p
         a0, a1, _ = u1
         b0 = v1[0] if v1 else 0
@@ -484,7 +407,14 @@ class HyperellipticCurve:
         return u, v
 
     def _wrap_divisor(self, u: list, v: list) -> MumfordDivisor:
-        return MumfordDivisor(Poly(self.field, u), Poly(self.field, v))
+        """[u, v] without the constructors' checks.  Precondition: u and v
+        are canonical lists that this class computed (element encodings,
+        no trailing zeros, u monic of degree <= 2, deg v < deg u, and
+        u | v^2 - f)."""
+        D = object.__new__(MumfordDivisor)
+        object.__setattr__(D, "u", self.f._wrap(u))
+        object.__setattr__(D, "v", self.f._wrap(v))
+        return D
 
     def cantor_add(self, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
         self._require_valid(D1)
@@ -548,16 +478,16 @@ class HyperellipticCurve:
         if self._jacobian is not None:
             return self._jacobian
 
+        add, sub, mul, neg, inv = K._add, K._sub, K._mul, K._neg, K._inv
+        wrap = self._wrap_divisor
         out: list[MumfordDivisor] = [self.zero()]
-        for P in self.points(budget):
-            out.append(self.divisor_from_point(P))
+        for x, y in self.points(budget):
+            out.append(wrap([neg(x), 1], [y] if y else []))
 
         sqrt = self._sqrt_table()
-        add, sub, mul, neg, inv = K._add, K._sub, K._mul, K._neg, K._inv
         two = add(1, 1)
         four = add(two, two)
         fmod = self._f_mod_quadratic
-        wrap = self._wrap_divisor
         for b in range(q):  # u0
             for a in range(q):  # u1
                 r1, r0 = fmod(a, b)

@@ -84,6 +84,9 @@ class TestJacobian:
         (row,) = rows_of(out)
         assert row["q"] == "9" and row["modulus"] == "1,0,1"
         assert row["jacobian_order"] == "100"
+        # the group-law spot checks, by Cantor's algorithm over F_9
+        assert row["spot_checks"] == "128" and row["spot_failures"] == "0"
+        assert row["status"] == "ok"
 
     def test_non_squarefree_f_is_config_error(self, capsys):
         code, out, err = run(capsys, ["jacobian", "--p", "7", "--f", "1,1,0,0,0,1"])
