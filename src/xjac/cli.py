@@ -13,8 +13,8 @@ cache warmth or wall time, so reruns are byte-identical and diffable.
 Timing and cache-hit information goes to stderr only; the enumeration
 cache serves jacobian alone, and extract-sd and sweep never touch it.
 Exit codes:
-0 success (warnings allowed), 2 configuration/validation error, 3 budget
-exceeded.
+0 success (warnings allowed), 1 a jacobian row whose status is fail (the
+row is still written), 2 configuration/validation error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -372,7 +372,7 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
     emit_report(cfg, "jacobian", JACOBIAN_COLUMNS, [row])
     ms = (time.perf_counter() - t0) * 1000.0
     _note(f"jacobian: |J| = {order}, enumeration = {source}, runtime_ms = {ms:.1f}")
-    return 0
+    return 0 if row["status"] == "ok" else 1
 
 
 def _extract_row(

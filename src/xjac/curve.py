@@ -10,11 +10,12 @@ results without checking again what the curve computed itself, which
 keeps the exhaustive group-law sweeps in the test-suite fast enough to be
 routine.
 
-There is one closed form, for prime fields: adding two weight-2 classes
-whose u are coprime, or doubling one whose u and v are coprime, takes
-formulas with one field inversion on plain ints (Cantor, Math. Comp. 48,
-1987; Lange, AAECC 15, 2005).  It serves large-q scalar multiplication,
-where at p = 1000003 every composition takes it.  Every other case, a
+There are closed forms for prime fields only: adding two weight-2
+classes whose u are coprime, and doubling one whose u and v are coprime,
+each take formulas with one field inversion on plain ints (Cantor, Math.
+Comp. 48, 1987; Lange, AAECC 15, 2005).  They serve large-q scalar
+multiplication, a ladder over the non-adjacent form of the scalar, where
+at p = 1000003 every composition takes one of them.  Every other case, a
 generic one whose sum has weight below 2, and every composition over an
 extension field go through Cantor's composition and reduction, which is
 also the oracle the tests check the formulas against.  Extension fields
@@ -281,92 +282,106 @@ class HyperellipticCurve:
 
     def _cantor_raw(self, u1, v1, u2, v2) -> tuple[list, list]:
         """One group operation on raw lists: over a prime field the
-        closed-form weight-2 add or double when it applies, Cantor's
-        algorithm otherwise."""
+        closed-form weight-2 double (equal operands) or add when it
+        applies, Cantor's algorithm otherwise."""
         if self._prime and len(u1) == 3 and len(u2) == 3:
-            out = self._weight2_prime_raw(u1, v1, u2, v2)
+            if u1 == u2 and v1 == v2:
+                out = self._double_prime_raw(u1, v1)
+            else:
+                out = self._add_prime_raw(u1, v1, u2, v2)
             if out is not None:
                 return out
         return self._cantor_general_raw(u1, v1, u2, v2)
 
-    def _weight2_prime_raw(self, u1, v1, u2, v2) -> tuple[list, list] | None:
+    def _add_prime_raw(self, u1, v1, u2, v2) -> tuple[list, list] | None:
         """Closed-form sum of two weight-2 classes over F_p, or None when
         the generic formulas do not apply (Cantor 1987; Lange, AAECC 15,
         2005).
 
         With s = s1*x + s0 the linear polynomial that makes V = v1 + s*u1
-        agree with v2 mod u2 (add) or satisfy V^2 == f mod u1^2 (double),
-        [u1*u2, V] is Cantor's composition and one reduction step gives
-        u' = (f - V^2)/(u1*u2) made monic and v' = -V mod u'.  Applies when
-        s1 != 0 and Res(u1, u2) != 0 (add) or Res(u1, 2*v1) != 0 (double);
-        costs one field inversion.  Plain ints with + - * inline, which
-        cost less than a K._add/_sub/_mul call each; % p is taken where a
-        value must be canonical (before a zero test, before the inversion,
-        on the outputs) and on s1, s0 and 1/s1^2 after the inversion,
-        which keeps the products that follow from growing."""
+        agree with v2 mod u2, [u1*u2, V] is Cantor's composition and one
+        reduction step gives u' = (V^2 - f)/(s1^2*u1*u2) and v' = -V mod
+        u'.  Applies when Res(u1, u2) != 0 and s1 != 0; costs one field
+        inversion.  In sigma = s0/s1 and lam = 1/s1, the top two
+        coefficients of (V^2 - f)/s1^2 give u' = x^2 + e1*x + e0, and
+        v' = -(v1 + s1*(x + sigma)*(u1 - u')) mod u' with u1 - u' linear,
+        so V is never formed.  Plain ints with + - * inline, which cost
+        less than a K._add/_sub/_mul call each; % p is taken where a value
+        must be canonical (before a zero test, before the inversion, on
+        the outputs) and on sigma, lam and s1, which keeps the products
+        that follow from growing."""
         p = self.field.p
         a0, a1, _ = u1
+        c0, c1, _ = u2
         b0 = v1[0] if v1 else 0
         b1 = v1[1] if len(v1) > 1 else 0
-        double = u1 == u2 and v1 == v2
-        if double:
-            # s = ((f - v^2)/u) * (2v)^-1 mod u; k = (f - v^2)/u, then k mod u
-            f = self._fraw
-            k2 = f[4] - a1
-            k1 = f[3] - a0 - a1 * k2
-            k0 = f[2] - b1 * b1 - a1 * k1 - a0 * k2
-            t = k2 - a1
-            w1 = k1 - a0 - t * a1
-            w0 = k0 - t * a0
-            # invert v mod u below; the factor 2 goes into r
-            c1, c0, z1, z0 = a1, a0, b1, b0
-            m3 = a1 + a1
-            m2 = a1 * a1 + a0 + a0
-        else:
-            # s = (v2 - v1) * u1^-1 mod u2
-            c0, c1 = u2[0], u2[1]
-            z1, z0 = a1 - c1, a0 - c0
-            d0 = v2[0] if v2 else 0
-            d1 = v2[1] if len(v2) > 1 else 0
-            w1, w0 = d1 - b1, d0 - b0
-            m3 = a1 + c1
-            m2 = a0 + c0 + a1 * c1
-        # (z1*x + z0)^-1 == (-z1*x + z0 - c1*z1)/r mod x^2 + c1*x + c0
-        c1z1 = c1 * z1
-        r = (z0 * z0 - c1z1 * z0 + c0 * z1 * z1) % p
+        w0 = (v2[0] if v2 else 0) - b0
+        w1 = (v2[1] if len(v2) > 1 else 0) - b1
+        # s = w * z^-1 mod u2 with z = u1 mod u2 = z1*x + z0, and
+        # z^-1 == (-z1*x + y0)/r mod x^2 + c1*x + c0
+        z1, z0 = a1 - c1, a0 - c0
+        y0 = z0 - c1 * z1
+        r = (z0 * y0 + c0 * z1 * z1) % p
         if not r:
             return None
-        if double:
-            r = r + r
-        y1, y0 = -z1, z0 - c1z1
-        # s * r = w * y mod u2
-        w1y1 = w1 * y1
-        s1 = (w1 * y0 + w0 * y1 - c1 * w1y1) % p
-        if not s1:
+        w1z1 = w1 * z1
+        rs1 = (w1 * y0 - w0 * z1 + c1 * w1z1) % p
+        if not rs1:
             return None
-        s0 = w0 * y0 - c0 * w1y1
-        inv = pow(r * s1 % p, -1, p)  # 1/(r*s1)
-        ir = inv * s1  # 1/r
-        s1, s0 = s1 * ir % p, s0 * ir % p
-        is1 = r * r * inv  # 1/s1
-        is1sq = is1 * is1 % p
-        V3 = s1
-        V2 = s0 + s1 * a1
-        V1 = s0 * a1 + s1 * a0 + b1
-        V0 = s0 * a0 + b0
-        # top coefficients of V^2 - f (f is monic); its quotient by u1*u2
-        # is s1^2 * u'
-        n5 = (V3 + V3) * V2 - 1
-        n4 = V2 * V2 + (V3 + V3) * V1 - self._fraw[4]
-        e1 = (n5 * is1sq - m3) % p
-        e0 = (n4 * is1sq - m2 - e1 * m3) % p
-        # v' = -(V mod x^2 + e1*x + e0)
-        t2 = V2 - V3 * e1
-        R1 = (V1 - V3 * e0 - t2 * e1) % p
-        R0 = (V0 - t2 * e0) % p
-        if R1:
-            return [e0, e1, 1], [-R0 % p, -R1 % p]
-        return [e0, e1, 1], [-R0 % p] if R0 else []
+        inv = pow(r * rs1 % p, -1, p)
+        irs1 = r * inv % p
+        sigma = (w0 * y0 + c0 * w1z1) % p * irs1 % p  # r*s0 / r*s1
+        lam = r * irs1 % p
+        s1 = rs1 * rs1 * inv % p
+        e1 = (sigma + sigma + z1 - lam * lam) % p
+        e0 = sigma * (sigma + z1 + z1) + y0
+        e0 = (e0 + lam * (b1 + b1 + lam * (a1 + c1 - self._fraw[4]))) % p
+        g1, g0 = a1 - e1, a0 - e0
+        n1 = (s1 * (g1 * (e1 - sigma) - g0) - b1) % p
+        n0 = (s1 * (g1 * e0 - sigma * g0) - b0) % p
+        if n1:
+            return [e0, e1, 1], [n0, n1]
+        return [e0, e1, 1], [n0] if n0 else []
+
+    def _double_prime_raw(self, u, v) -> tuple[list, list] | None:
+        """Closed-form double of a weight-2 class over F_p, or None when
+        the generic formulas do not apply; as _add_prime_raw, with s the
+        linear polynomial that makes V = v + s*u satisfy V^2 == f mod u^2,
+        which applies when Res(u, 2*v) != 0 and s1 != 0."""
+        p = self.field.p
+        _, _, f2, f3, f4, _ = self._fraw
+        a0, a1, _ = u
+        b0 = v[0] if v else 0
+        b1 = v[1] if len(v) > 1 else 0
+        # s = w * (2v)^-1 mod u with w = ((f - v^2)/u) mod u, and
+        # v^-1 == (-b1*x + y0)/r mod u; the factor 2 goes into r
+        k2 = f4 - a1
+        k1 = f3 - a0 - a1 * k2
+        t = k2 - a1
+        w1 = (k1 - a0 - t * a1) % p
+        w0 = (f2 - b1 * b1 - a1 * k1 - a0 * k2 - t * a0) % p
+        y0 = b0 - a1 * b1
+        r = (b0 * y0 + a0 * b1 * b1) % p
+        if not r:
+            return None
+        r += r
+        w1b1 = w1 * b1
+        rs1 = (w1 * y0 - w0 * b1 + a1 * w1b1) % p
+        if not rs1:
+            return None
+        inv = pow(r * rs1 % p, -1, p)
+        irs1 = r * inv % p
+        sigma = (w0 * y0 + a0 * w1b1) % p * irs1 % p
+        lam = r * irs1 % p
+        s1 = rs1 * rs1 * inv % p
+        e1 = (sigma + sigma - lam * lam) % p
+        e0 = (sigma * sigma + lam * (b1 + b1 + lam * (a1 + a1 - f4))) % p
+        g1, g0 = a1 - e1, a0 - e0
+        n1 = (s1 * (g1 * (e1 - sigma) - g0) - b1) % p
+        n0 = (s1 * (g1 * e0 - sigma * g0) - b0) % p
+        if n1:
+            return [e0, e1, 1], [n0, n1]
+        return [e0, e1, 1], [n0] if n0 else []
 
     def _cantor_general_raw(self, u1, v1, u2, v2) -> tuple[list, list]:
         """Cantor's composition + reduction on raw lists, for any inputs."""
@@ -429,19 +444,32 @@ class HyperellipticCurve:
         return MumfordDivisor(D.u, -D.v)
 
     def scalar_mul(self, D: MumfordDivisor, m: int) -> MumfordDivisor:
+        """m*D, left to right over the non-adjacent form (NAF) of m: signed
+        digits 0 and +-1, no two nonzero digits adjacent, so a b-bit m
+        costs about b doublings and b/3 adds of D or -D, against b/2 adds
+        in binary.  Digit i is bit i + 1 of 3m minus bit i + 1 of m
+        (3m - m = 2m digit by digit; the recoding of IEEE Std 1363-2000).
+        D and m are checked here, once; every composition runs through
+        _cantor_raw, which falls back to Cantor's algorithm where the
+        closed forms do not apply, such as a running sum equal to -D."""
         if type(m) is not int:
             raise NegativeScalarError(f"scalar must be an int, got {m!r}")
         if m < 0:
             raise NegativeScalarError(f"scalar must be >= 0, got {m}")
         self._require_valid(D)
-        ru, rv = [1], []
-        au, av = list(D.u.coeffs), list(D.v.coeffs)
-        while m:
-            if m & 1:
-                ru, rv = self._cantor_raw(ru, rv, au, av)
-            m >>= 1
-            if m:
-                au, av = self._cantor_raw(au, av, au, av)
+        if not m:
+            return self._wrap_divisor([1], [])
+        h = 3 * m
+        plus, minus = (h & ~m) >> 1, (m & ~h) >> 1
+        du, dv = list(D.u.coeffs), list(D.v.coeffs)
+        nv = raw_neg(self.field, dv)
+        ru, rv = du, dv  # the top digit, always +1
+        for i in range(plus.bit_length() - 2, -1, -1):
+            ru, rv = self._cantor_raw(ru, rv, ru, rv)
+            if plus >> i & 1:
+                ru, rv = self._cantor_raw(ru, rv, du, dv)
+            elif minus >> i & 1:
+                ru, rv = self._cantor_raw(ru, rv, du, nv)
         return self._wrap_divisor(ru, rv)
 
     # -- enumeration ----------------------------------------------------------

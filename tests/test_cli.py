@@ -88,6 +88,24 @@ class TestJacobian:
         assert row["spot_checks"] == "128" and row["spot_failures"] == "0"
         assert row["status"] == "ok"
 
+    def test_failed_spot_checks_exit_1(self, capsys, monkeypatch):
+        """A broken group law still writes its fail row, then exits 1."""
+        original = HyperellipticCurve._cantor_general_raw
+
+        def broken(self, *args):
+            u, v = original(self, *args)
+            return u, v[:1]  # drops v's linear coefficient
+
+        monkeypatch.setattr(HyperellipticCurve, "_cantor_general_raw", broken)
+        monkeypatch.delenv("XJAC_CACHE_DIR", raising=False)
+        code, out, _ = run(
+            capsys, ["jacobian", "--p", "7", "--n", "2", "--f", "1,0,0,0,0,1"]
+        )
+        assert code == 1
+        (row,) = rows_of(out)
+        assert row["spot_failures"] != "0"
+        assert row["status"] == "fail"
+
     def test_non_squarefree_f_is_config_error(self, capsys):
         code, out, err = run(capsys, ["jacobian", "--p", "7", "--f", "1,1,0,0,0,1"])
         assert code == 2

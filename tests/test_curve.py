@@ -1,9 +1,10 @@
 """Curve construction, point enumeration, divisor validity (the closed form
 cross-checked against polynomial division), Cantor arithmetic (the
-closed-form weight-2 path cross-checked against Cantor's algorithm),
-Jacobian enumeration (cross-checked against naive and O(q^3) scan oracles
-and the zeta-function identity for #J), the counted runs of classes per u
-and budgets."""
+closed-form weight-2 add and double cross-checked against Cantor's
+algorithm), scalar multiplication (the signed-digit ladder against a
+binary one and repeated addition), Jacobian enumeration (cross-checked
+against naive and O(q^3) scan oracles and the zeta-function identity for
+#J), the counted runs of classes per u and budgets."""
 
 import itertools
 
@@ -26,7 +27,7 @@ from xjac.errors import (
     WrongDegreeError,
 )
 from xjac.field import finite_field
-from xjac.poly import Poly, raw_divmod, raw_gcd, raw_mul, raw_sub
+from xjac.poly import Poly, raw_divmod, raw_gcd, raw_mul, raw_neg, raw_sub
 from xjac.stats import RandomSource
 
 
@@ -329,8 +330,9 @@ def rebuilt(D):
 
 
 def cantor_only_scalar_mul(curve, D, m):
-    """Oracle: scalar_mul's double-and-add with every step done by
-    Cantor's algorithm."""
+    """Oracle: m*D by right-to-left binary double-and-add, a route
+    independent of scalar_mul's signed-digit ladder, with every step done
+    by Cantor's algorithm."""
     ru, rv = [1], []
     au, av = list(D.u.coeffs), list(D.v.coeffs)
     while m:
@@ -390,7 +392,11 @@ class TestClosedForm:
             D = curve._wrap_divisor(*got)
             assert D == rebuilt(D), (A, B)
             if curve._prime and A.weight == B.weight == 2:
-                out = curve._weight2_prime_raw(*args)  # the form _cantor_raw takes
+                # the form _cantor_raw takes: the double on equal operands
+                if A == B:
+                    out = curve._double_prime_raw(*args[:2])
+                else:
+                    out = curve._add_prime_raw(*args)
                 if out is not None:
                     assert out == want, (A, B)
                     closed += 1
@@ -398,7 +404,8 @@ class TestClosedForm:
 
     def test_closed_form_on_prime_fields_only(self, c7, c9, general_calls):
         """A generic add and a generic double reach Cantor's algorithm
-        never over F_7, and once each over F_9."""
+        never over F_7, where each closed form takes its own case, and
+        once each over F_9."""
         calls, oracle = general_calls
         for curve, reach in ((c7, 0), (c9, 1)):
             K = curve.field
@@ -422,6 +429,9 @@ class TestClosedForm:
                 before = len(calls)
                 assert curve._cantor_raw(*args) == oracle(curve, *args)
                 assert len(calls) == before + reach, (curve, args)
+            if curve._prime:
+                assert curve._add_prime_raw(*add) == oracle(curve, *add)
+                assert curve._double_prime_raw(*double[:2]) == oracle(curve, *double)
 
     @pytest.mark.parametrize("name", ["c7", "c9"])
     def test_every_pair_and_doubling(self, name, request):
@@ -518,6 +528,101 @@ class TestClosedForm:
             before = len(calls)
             assert c7._cantor_raw(*args) == oracle(c7, *args), name
             assert len(calls) == before + 1, name
+
+
+def naf_shape(m):
+    """(digits, nonzero digits) of the non-adjacent form of m > 0, by the
+    textbook recoding: digit 2 - (m mod 4) wherever m is odd."""
+    digits = weight = 0
+    while m:
+        if m & 1:
+            m -= 2 - (m & 3)
+            weight += 1
+        m >>= 1
+        digits += 1
+    return digits, weight
+
+
+@pytest.fixture
+def raw_calls(monkeypatch):
+    """Records the arguments of every _cantor_raw call."""
+    calls = []
+    original = HyperellipticCurve._cantor_raw
+
+    def recording(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(HyperellipticCurve, "_cantor_raw", recording)
+    return calls
+
+
+class TestLadder:
+    """scalar_mul's signed-digit ladder against independent routes: the
+    binary ladder by Cantor's algorithm, repeated cantor_add, additivity in
+    the scalar and the composition count of the non-adjacent form."""
+
+    @pytest.fixture(scope="class")
+    def dh(self):
+        curve = HyperellipticCurve(finite_field(1000003), "5,17,0,3,11,1")
+        return curve, weight2_class(curve)
+
+    def test_edge_scalars_large_prime(self, dh):
+        curve, G = dh
+        p = curve.field.p
+        scalars = [0, 1, 2, 3, 2**40 - 1, p * p - 1]
+        scalars += [2**k + e for k in range(2, 42, 3) for e in (-1, 1)]
+        for k in (1, 2, 7, 20):
+            scalars += [int("10" * k, 2), int("1" + "01" * k, 2), int("110" * k, 2)]
+        for m in scalars:
+            assert curve.scalar_mul(G, m) == cantor_only_scalar_mul(curve, G, m), m
+
+    @pytest.mark.parametrize("name", ["c7", "c9"])
+    def test_every_small_multiple(self, name, request, raw_calls):
+        """Every m < 3|J| for a few D against repeated cantor_add; the
+        running sum meets -D inside the ladder, where the closed forms
+        fall back."""
+        curve = request.getfixturevalue(name)
+        K = curve.field
+        J = curve.enumerate_jacobian()
+        rng = RandomSource(len(J))
+        for D in [J[1]] + [J[rng.next_below(len(J))] for _ in range(3)]:
+            acc = curve.zero()
+            for m in range(3 * len(J)):
+                assert curve.scalar_mul(D, m) == acc, (D, m)
+                acc = curve.cantor_add(acc, D)
+        assert any(
+            u1 == u2 and len(u1) > 1 and v2 == raw_neg(K, v1) and v1 != v2
+            for u1, v1, u2, v2 in raw_calls
+        )
+
+    def test_additive_in_the_scalar(self, dh):
+        curve, G = dh
+        p = curve.field.p
+        rng = RandomSource(19)
+        for _ in range(10):
+            a, b = rng.next_below(p * p), rng.next_below(p * p)
+            aG, bG = curve.scalar_mul(G, a), curve.scalar_mul(G, b)
+            assert curve.scalar_mul(G, a + b) == curve.cantor_add(aG, bG), (a, b)
+
+    def test_composition_count(self, dh, raw_calls):
+        """One doubling per digit below the top and one add per nonzero
+        digit below it; 2^40 - 1, in signed digits 2^40 - 2^0, takes 41
+        compositions, against 79 for binary double-and-add."""
+        curve, G = dh
+        curve.scalar_mul(G, 2**40 - 1)
+        assert len(raw_calls) == 41
+        for m in (0, 1):
+            raw_calls.clear()
+            curve.scalar_mul(G, m)
+            assert not raw_calls
+        rng = RandomSource(40)
+        for _ in range(50):
+            m = rng.next_below(2**64) + 2
+            digits, weight = naf_shape(m)
+            raw_calls.clear()
+            curve.scalar_mul(G, m)
+            assert len(raw_calls) == digits - 1 + weight - 1, m
 
 
 class TestEnumeration:
