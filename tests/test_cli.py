@@ -215,6 +215,22 @@ class TestCharsum:
         assert all(r["expected"] == "0" for r in rows[1:])
         assert all(r["status"] == "pass" for r in rows)
 
+    def test_failing_row_exits_1(self, capsys, monkeypatch):
+        """One row off by 5 is still written, counted on stderr, and makes
+        the run exit 1."""
+        exact = cli.orthogonality_sum
+        monkeypatch.setattr(
+            cli, "orthogonality_sum", lambda K, a: exact(K, a) + (5 if a == 1 else 0)
+        )
+        code, out, err = run(
+            capsys, ["charsum", "--mode", "orthogonality", "--p", "3", "--n", "2"]
+        )
+        assert code == 1
+        rows = rows_of(out)
+        assert len(rows) == 9
+        assert [r["a"] for r in rows if r["status"] != "pass"] == ["1"]
+        assert "1 failures" in err
+
     def test_mordell_every_quadratic(self, capsys):
         code, out, _ = run(capsys, ["charsum", "--mode", "mordell", "--p", "5"])
         assert code == 0

@@ -2,7 +2,8 @@
 cross-checked against polynomial division), Cantor arithmetic (the
 closed-form weight-2 add and double cross-checked against Cantor's
 algorithm), scalar multiplication (the signed-digit ladder against a
-binary one and repeated addition), Jacobian enumeration (cross-checked
+binary one and repeated addition, on fresh and remembered doubling
+chains, which stay bounded and per curve), Jacobian enumeration (cross-checked
 against naive and O(q^3) scan oracles and the zeta-function identity for
 #J), the counted runs of classes per u and budgets."""
 
@@ -11,6 +12,7 @@ import itertools
 import pytest
 
 from xjac.curve import (
+    _DOUBLING_BASES,
     AffinePoint,
     HyperellipticCurve,
     MumfordDivisor,
@@ -606,13 +608,15 @@ class TestLadder:
             assert curve.scalar_mul(G, a + b) == curve.cantor_add(aG, bG), (a, b)
 
     def test_composition_count(self, dh, raw_calls):
-        """One doubling per digit below the top and one add per nonzero
-        digit below it; 2^40 - 1, in signed digits 2^40 - 2^0, takes 41
-        compositions, against 79 for binary double-and-add."""
+        """On a fresh base, one doubling per digit below the top and one add
+        per nonzero digit below it; 2^40 - 1, in signed digits 2^40 - 2^0,
+        takes 41 compositions, against 79 for binary double-and-add."""
         curve, G = dh
+        curve._doublings.clear()
         curve.scalar_mul(G, 2**40 - 1)
         assert len(raw_calls) == 41
         for m in (0, 1):
+            curve._doublings.clear()
             raw_calls.clear()
             curve.scalar_mul(G, m)
             assert not raw_calls
@@ -620,9 +624,155 @@ class TestLadder:
         for _ in range(50):
             m = rng.next_below(2**64) + 2
             digits, weight = naf_shape(m)
+            curve._doublings.clear()
             raw_calls.clear()
             curve.scalar_mul(G, m)
             assert len(raw_calls) == digits - 1 + weight - 1, m
+
+    def test_repeated_base_makes_no_doublings(self, dh, raw_calls):
+        """Once a base's chain is kept (from its second use) and reaches
+        the top digit of m, m*D takes one add per nonzero digit but the
+        lowest, and no doubling."""
+        curve, G = dh
+        curve._doublings.clear()
+        for _ in range(2):
+            curve.scalar_mul(G, 2**66)
+        rng = RandomSource(41)
+        for m in [1, 2, 2**40 - 1, 2**65 + 1] + [rng.next_below(2**64) + 2 for _ in range(50)]:
+            digits, weight = naf_shape(m)
+            raw_calls.clear()
+            curve.scalar_mul(G, m)
+            assert len(raw_calls) == weight - 1, m
+            assert all((u1, v1) != (u2, v2) for u1, v1, u2, v2 in raw_calls), m
+
+
+def key(D):
+    return D.u.coeffs, D.v.coeffs
+
+
+class TestDoublingChain:
+    """The doubling chains scalar_mul remembers per base: every result is
+    checked against the binary Cantor-only oracle with the base fresh (its
+    chain forgotten) and repeated (its chain kept, and extended as m
+    grows), on a large prime field and on F_7^2; the memo is bounded,
+    least recently used, keyed by the whole class and per curve."""
+
+    @pytest.fixture(scope="class", params=["p1000003", "F49"])
+    def setting(self, request):
+        if request.param == "p1000003":
+            curve = HyperellipticCurve(finite_field(1000003), "5,17,0,3,11,1")
+            G = weight2_class(curve)
+            return curve, [G, curve.scalar_mul(G, 123456789)], None
+        curve = HyperellipticCurve(finite_field(7, 2), "3,5,11,20,7,1")
+        J = curve.enumerate_jacobian()
+        rng = RandomSource(49)
+        bases = [J[1]] + [J[rng.next_below(len(J))] for _ in range(3)]
+        return curve, bases, len(J)
+
+    @staticmethod
+    def scalars(order):
+        """0, 1, powers of two, 2^k - 1 and signed-digit patterns, in
+        ascending length so that a kept chain has to grow; with the group
+        order, multiples of it and scalars above it."""
+        out = [0, 1]
+        for k in range(1, 48, 3):
+            out += [2**k, 2**k - 1, 2**k + 1, 3 * 2**k]
+            out += [int(("1011" * k)[:k + 1], 2), int(("110" * k)[:k + 1], 2)]
+        if order is not None:
+            out += [order - 1, order, order + 1, 2 * order, 3 * order + 7, order**2 + 5]
+        return out
+
+    def test_fresh_and_repeated_base(self, setting):
+        curve, bases, order = setting
+        zero = curve.zero()
+        for D in bases:
+            curve._doublings.clear()
+            for _ in range(2):  # kept from the second use
+                curve.scalar_mul(D, 1)
+            for m in self.scalars(order):
+                want = cantor_only_scalar_mul(curve, D, m)
+                assert curve.scalar_mul(D, m) == want, ("repeated", D, m)
+                kept = dict(curve._doublings)
+                curve._doublings.clear()
+                assert curve.scalar_mul(D, m) == want, ("fresh", D, m)
+                curve._doublings.clear()
+                curve._doublings.update(kept)
+                if order is not None and m % order == 0:
+                    assert want == zero
+            assert len(curve._doublings[key(D)]) >= 48
+
+    def test_chain_extends_lazily(self, setting):
+        curve, bases, _ = setting
+        D = bases[0]
+        curve._doublings.clear()
+        curve.scalar_mul(D, 2**10 + 5)
+        assert curve._doublings == {key(D): None}  # seen once: no chain
+        curve.scalar_mul(D, 2**10 + 5)
+        chain = curve._doublings[key(D)]
+        assert len(chain) == 11
+        curve.scalar_mul(D, 7)
+        assert len(chain) == 11
+        curve.scalar_mul(D, 2**30 - 1)  # signed digits 2^30 - 2^0
+        assert len(chain) == 31
+        for i in (0, 1, 17, 30):
+            u, v = chain[i]
+            assert curve._wrap_divisor(u, v) == cantor_only_scalar_mul(curve, D, 2**i)
+
+    def test_bounded_least_recently_used(self, dh_curve):
+        curve, G = dh_curve
+        curve._doublings.clear()
+        others = [curve.scalar_mul(G, 1000 + i) for i in range(10)]
+        curve._doublings.clear()
+        for i, B in enumerate(others):
+            curve.scalar_mul(G, 2**20 + i)
+            curve.scalar_mul(B, 2**20 + i)
+            assert len(curve._doublings) <= _DOUBLING_BASES
+            assert (curve._doublings[key(G)] is None) == (i == 0)
+            assert curve._doublings[key(B)] is None
+        assert list(curve._doublings)[-1] == key(others[-1])
+        for B in others:  # ten distinct bases, none repeated
+            curve.scalar_mul(B, 2**20)
+            assert len(curve._doublings) <= _DOUBLING_BASES
+        assert key(G) not in curve._doublings
+
+    def test_key_is_the_whole_class(self, dh_curve):
+        """D and -D share u; each keeps its own chain."""
+        curve, G = dh_curve
+        m = 2**40 - 3
+        want = cantor_only_scalar_mul(curve, G, m)
+        curve._doublings.clear()
+        for _ in range(3):
+            assert curve.scalar_mul(G, m) == want
+            assert curve.scalar_mul(curve.neg(G), m) == curve.neg(want)
+        assert len(curve._doublings) == 2
+        assert None not in curve._doublings.values()
+
+    def test_remembered_per_curve(self, dh_curve):
+        """D is on both y^2 = f1 and y^2 = f2 = f1 + u*g (u | v^2 - f2 as
+        u | v^2 - f1); each curve keeps its own chain for the same key."""
+        curve1, G = dh_curve
+        K = curve1.field
+        for g in ((1, 1), (2, 1), (1, 0, 1)):
+            try:
+                curve2 = HyperellipticCurve(K, curve1.f + G.u * Poly(K, g))
+                break
+            except NotSquarefreeError:
+                continue
+        assert curve2.is_valid_divisor(G)
+        m = 2**40 - 3
+        want1 = cantor_only_scalar_mul(curve1, G, m)
+        want2 = cantor_only_scalar_mul(curve2, G, m)
+        assert want1 != want2
+        curve1._doublings.clear()
+        for _ in range(3):
+            assert curve1.scalar_mul(G, m) == want1
+            assert curve2.scalar_mul(G, m) == want2
+        assert curve1._doublings.keys() == curve2._doublings.keys() == {key(G)}
+
+    @pytest.fixture
+    def dh_curve(self):
+        curve = HyperellipticCurve(finite_field(1000003), "5,17,0,3,11,1")
+        return curve, weight2_class(curve)
 
 
 class TestEnumeration:

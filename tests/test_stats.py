@@ -87,6 +87,19 @@ class TestTally:
         assert t.probability(1) == Fraction(1, 2)
         assert t.probability(2) == 0
 
+    def test_from_outcomes_keeps_first_occurrence_order(self):
+        """counts, and so the Tally's repr, list outcomes in order of first
+        occurrence."""
+        t = Tally.from_outcomes(8, [5, 0, 5, 7, 0, 2, 7, 7])
+        assert list(t.counts.keys()) == [5, 0, 7, 2]
+        assert list(t.counts.values()) == [2, 2, 3, 1]
+        assert type(t.counts) is dict
+        rng = random.Random(3)
+        draws = [rng.randrange(50) for _ in range(2000)]
+        assert list(Tally.from_outcomes(50, draws).counts) == list(dict.fromkeys(draws))
+        with pytest.raises(ValueError):
+            Tally.from_outcomes(2, [0, True])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Tally(0, {})
