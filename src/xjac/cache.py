@@ -158,8 +158,6 @@ def load(cache_dir: str, curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...
         raise CacheError(f"cache {path}: enumeration must start with [1, 0]")
     if len(set(divisors)) != len(divisors):
         raise CacheError(f"cache {path}: duplicate divisors")
-
-    curve.preload_enumeration(divisors)
     return tuple(divisors)
 
 

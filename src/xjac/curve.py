@@ -31,10 +31,10 @@ f == r1*x + r0 and v = c*x + d, u | v^2 - f reads 2cd - a*c^2 = r1 and
 d^2 - b*c^2 = r0, so checking a divisor costs O(1) field operations and
 enumerating the Jacobian solves a quadratic for c^2 per u, O(q^2) in all.
 
-The extractors read a class only through u, so value_counts tallies the
-classes by u, and _class_runs walks them in enumeration order, without
-building any of them: #v(u), the number of reduced [u, v], is (Cantor,
-Math. Comp. 48, 1987)
+The extractors read a class only through u, so _class_runs walks the
+monic u in enumeration order and gives #v(u), the number of reduced
+[u, v], without building any class, and value_counts adds its runs up by
+sum and by product of abscissas.  #v(u) is (Cantor, Math. Comp. 48, 1987)
 
     deg u = 0:                 1 (the neutral class)
     u = x - x1:                w1[x1] = #sqrt(f(x1))
@@ -46,13 +46,15 @@ where u = x^2 + a*x + b is irreducible when a^2 - 4b is a nonsquare (q
 odd), and r0^2 - a*r0*r1 + b*r1^2 is the norm to F_q of f(theta) for a
 root theta of u in F_q^2: v(theta) is a square root of f(theta) there,
 and an element of F_q^2 is a square exactly when its norm is a square in
-F_q.  Counting costs O(q^2) field operations and O(q) memory.
+F_q.  For fixed a, r1 and r0 are quadratics in b and the norm a quintic
+N_a(b), built once per a: the walk costs O(q^2) field operations and O(q)
+memory.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceededError,
@@ -73,6 +75,7 @@ from .poly import (
     raw_monic,
     raw_mul,
     raw_neg,
+    raw_scale,
     raw_sub,
     raw_xgcd,
 )
@@ -615,47 +618,20 @@ class HyperellipticCurve:
         return self._jacobian
 
     def value_counts(self, budget: int = DEFAULT_BUDGET) -> ValueCounts:
-        """|J| and the classes per sum and per product of abscissas,
-        counted per u by the formulas in the module docstring; no divisor
-        is built.  Gated by the same class-count budget as enumeration."""
+        """|J| and the classes per sum and per product of abscissas, added
+        up over the runs of _class_runs; no divisor is built.  Gated by
+        the same class-count budget as enumeration."""
         self.require_jacobian_budget(budget)
         if self._counts is not None:
             return self._counts
-        K = self.field
-        q = K.q
-        add, sub, mul, neg = K._add, K._sub, K._mul, K._neg
-        sqrt = self._sqrt_table()
-        fraw = self._fraw
-        w1 = [len(sqrt[raw_eval(K, fraw, x)]) for x in range(q)]
-        # weight 1: u = x - x1 reads x1; weight 2: u = x^2 + a*x + b reads
-        # -a as its sum and b as its product
-        sums = list(w1)
-        products = list(w1)
-        xs = [x for x in range(q) if w1[x]]
-        for i, x1 in enumerate(xs):
-            n1 = w1[x1]
-            for x2 in xs[i + 1 :]:
-                n = n1 * w1[x2]
-                sums[add(x1, x2)] += n
-                products[mul(x1, x2)] += n
-            if n1 == 2:  # u = (x - x1)^2 with f(x1) a nonzero square
-                sums[add(x1, x1)] += 2
-                products[mul(x1, x1)] += 2
-        # irreducible u: b = (a^2 - t)/4 for each nonsquare t
-        quarter = K._inv(add(add(1, 1), add(1, 1)))
-        shifts = [mul(t, quarter) for t in range(1, q) if not sqrt[t]]
-        fmod = self._f_mod_quadratic
-        for a in range(q):
-            aq = mul(mul(a, a), quarter)
-            row = 0
-            for s in shifts:
-                b = sub(aq, s)
-                r1, r0 = fmod(a, b)
-                norm = add(sub(mul(r0, r0), mul(a, mul(r0, r1))), mul(b, mul(r1, r1)))
-                n = len(sqrt[norm])
-                row += n
-                products[b] += n
-            sums[neg(a)] += row
+        neg = self.field._neg
+        sums, products = [0] * self.field.q, [0] * self.field.q
+        for _, n, u0, u1 in self._class_runs():
+            # x^2 + u1*x + u0: abscissas sum to -u1 and multiply to u0
+            if u1 is None:  # x + u0: -u0 is both the sum and the product
+                u0, u1 = neg(u0), u0
+            sums[neg(u1)] += n
+            products[u0] += n
         self._counts = ValueCounts(1 + sum(sums), tuple(sums), tuple(products))
         return self._counts
 
@@ -663,7 +639,8 @@ class HyperellipticCurve:
         """(first index, #v(u), u0, u1) for each u = x^2 + u1*x + u0, or
         x + u0 with u1 None, that carries a class, in enumerate_jacobian's
         order (the classes of one u are contiguous there); #v(u) from the
-        table in the module docstring, with O(q) memory."""
+        table in the module docstring, an irreducible u's norm from the
+        quintic N_a(b), with O(q) memory."""
         K = self.field
         add, sub, mul, neg = K._add, K._sub, K._mul, K._neg
         sqrt = self._sqrt_table()
@@ -677,7 +654,16 @@ class HyperellipticCurve:
         half = K._inv(add(1, 1))
         hs = [neg(mul(a, half)) for a in range(K.q)]
         hh = [mul(h, h) for h in hs]
-        fmod = self._f_mod_quadratic
+        # N_a(b) = r0*(r0 - a*r1) + b*r1^2 with f == r1*x + r0 mod x^2 +
+        # a*x + b by _f_mod_quadratic's steps on lists in b, padded to six
+        norms = []
+        for a in range(K.q):
+            r1, r0 = [], [1]
+            for fk in self._fraw[4::-1]:
+                r1, r0 = raw_sub(K, r0, raw_scale(K, r1, a)), raw_sub(K, [fk], [0] + r1)
+            norm = raw_mul(K, r0, raw_sub(K, r0, raw_scale(K, r1, a)))
+            norm = raw_add(K, norm, [0] + raw_mul(K, r1, r1))
+            norms.append(norm + [0] * (6 - len(norm)))
         for b in range(K.q):
             for a in range(K.q):
                 h = hs[a]
@@ -687,9 +673,10 @@ class HyperellipticCurve:
                 elif sqrt[disc]:  # (x - h - s)(x - h + s)
                     s = sqrt[disc][0]
                     n = w1[add(h, s)] * w1[sub(h, s)]
-                else:  # irreducible
-                    r1, r0 = fmod(a, b)
-                    n = len(sqrt[add(sub(mul(r0, r0), mul(a, mul(r0, r1))), mul(b, mul(r1, r1)))])
+                else:  # irreducible: N_a(b) by Horner
+                    n0, n1, n2, n3, n4, n5 = norms[a]
+                    t = mul(add(mul(add(mul(add(mul(n5, b), n4), b), n3), b), n2), b)
+                    n = len(sqrt[add(mul(add(t, n1), b), n0)])
                 if n:
                     yield i, n, b, a
                     i += n
@@ -697,13 +684,6 @@ class HyperellipticCurve:
     def jacobian_order(self, budget: int = DEFAULT_BUDGET) -> int:
         """|J|, counted (value_counts), not enumerated."""
         return self.value_counts(budget).order
-
-    def preload_enumeration(self, divisors: Sequence[MumfordDivisor]) -> None:
-        """Install a previously computed enumeration (cache loads); points()
-        stays lazy.  Callers are expected to have validated the data; see
-        cache.py.
-        """
-        self._jacobian = tuple(divisors)
 
     # -- identity -------------------------------------------------------------
 

@@ -6,13 +6,13 @@ at the reporting edge.  Sampling uses a counter-based splitmix64 stream
 with rejection, so runs are reproducible across platforms from a seed.
 
 Neither distribution builds a divisor: extractors read a class [u, v]
-only through u (the sum -u1 or the product u0 of its abscissas).  An
-exact tally adds up HyperellipticCurve.value_counts, #v(u) for every
-monic u of degree <= 2 (Cantor, Math. Comp. 48, 1987), one O(q^2) pass
-per curve shared by every (extractor, k).  A Monte-Carlo tally draws
-indices into enumerate_jacobian's canonical order and places them on the
-curve's runs of classes per u (_class_runs, the same #v(u) in that
-order).  The enumeration stays the tests' oracle for both.
+only through u (the sum -u1 or the product u0 of its abscissas).  The
+curve's _class_runs walks every monic u of degree <= 2 in
+enumerate_jacobian's canonical order with #v(u), its number of classes
+(Cantor, Math. Comp. 48, 1987).  An exact tally adds up value_counts,
+those runs summed by value, one O(q^2) walk per curve shared by every
+(extractor, k); a Monte-Carlo tally places indices drawn into the same
+order on the runs.  The enumeration stays the tests' oracle for both.
 """
 
 from __future__ import annotations

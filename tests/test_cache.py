@@ -22,8 +22,8 @@ from xjac.field import finite_field
 
 
 def fresh_curve(p=7, n=1, f="1,0,0,0,0,1"):
-    # new objects every call: load() preloads enumeration state onto the
-    # curve, so tests must not share instances
+    # new objects every call: a curve memoises its enumeration and counts,
+    # so tests must not share instances
     return HyperellipticCurve(finite_field(p, n), f)
 
 
@@ -57,8 +57,7 @@ class TestRoundtrip:
         reloaded_curve = fresh_curve()
         reloaded = load(str(tmp_path), reloaded_curve)
         assert reloaded == divisors
-        # enumeration is preloaded: a tiny budget would reject recomputation,
-        # but the orders must already be answerable from the loaded state
+        # the load leaves the curve as it was: the order is counted
         assert reloaded_curve.jacobian_order() == 50
         assert len(reloaded_curve.points()) == 7
 

@@ -839,10 +839,13 @@ class TestEnumeration:
             assert counted.order == len(J) == curve.jacobian_order()
             assert list(counted.sums) == sums and list(counted.products) == products
 
-    @pytest.mark.parametrize("p,n", [(7, 1), (31, 1), (67, 1), (3, 2), (5, 2), (3, 4)])
+    @pytest.mark.parametrize(
+        "p,n", [(3, 1), (7, 1), (31, 1), (67, 1), (3, 2), (5, 2), (3, 3), (3, 4)]
+    )
     def test_class_runs_match_enumeration_and_counts(self, p, n):
-        """_class_runs against enumerate_jacobian grouped by u, and its
-        per-value totals against value_counts: two routes to #v(u)."""
+        """_class_runs against enumerate_jacobian grouped by u, the two
+        routes to #v(u), and value_counts as the per-value totals of the
+        runs."""
         K = finite_field(p, n)
         for seed in range(3 if K.q < 50 else 1):
             curve = seeded_quintic(K, 500 * p + 10 * n + seed)

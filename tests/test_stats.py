@@ -351,19 +351,19 @@ class TestCountedTally:
 
     def test_one_counting_pass_per_curve(self, monkeypatch):
         curve = fresh_curve(11, 1, "1,1,0,0,0,1")
-        passes = []
-        fmod = HyperellipticCurve._f_mod_quadratic
+        walks = []
+        class_runs = HyperellipticCurve._class_runs
 
-        def counting_fmod(self, a, b):
-            passes.append((a, b))
-            return fmod(self, a, b)
+        def counting_runs(self):
+            walks.append(self)
+            return class_runs(self)
 
-        monkeypatch.setattr(HyperellipticCurve, "_f_mod_quadratic", counting_fmod)
+        monkeypatch.setattr(HyperellipticCurve, "_class_runs", counting_runs)
         for kind in ExtractorKind:
             for k in range(1, max_k(kind, curve.field) + 1):
                 exact_output_distribution(curve, kind, k)
-        # one f mod u per irreducible u, of which there are (q^2 - q)/2
-        assert len(passes) == len(set(passes)) == (11 * 11 - 11) // 2
+        # one walk over the u, shared by every (kind, k)
+        assert walks == [curve]
 
     def test_errors_as_before_and_no_count(self):
         curve = fresh_curve(7, 1, "1,0,0,0,0,1")
