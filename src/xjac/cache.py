@@ -13,10 +13,11 @@ recomputes them in O(q).  A version-1 file (coordinate vectors and a
 recomputes and rewrites it.
 
 Loads are never trusted blindly: a reload must match the curve
-parameters, every divisor must be canonical, reduced and pass
-is_valid_divisor, [1, 0] must come first with no duplicates, and the
-recorded order must equal the divisor count.  Anything else raises
-CacheError.
+parameters, the recorded order must equal both the divisor count and
+|J| as the curve counts it (jacobian_order), every divisor must be
+canonical, reduced and pass is_valid_divisor, and [1, 0] must come first
+with no duplicates, so a file missing some classes is stale too.
+Anything else raises CacheError.
 """
 
 from __future__ import annotations
@@ -53,15 +54,15 @@ def cache_path(cache_dir: str, curve: HyperellipticCurve) -> str:
     return os.path.join(cache_dir, f"jacobian-{cache_key(curve)[:32]}.json")
 
 
-def _decode_poly(K: FiniteField, coeffs, where: str) -> Poly:
-    if not (
-        isinstance(coeffs, list)
-        and all(type(c) is int and 0 <= c < K.q for c in coeffs)
-    ):
+def _decode_poly(curve: HyperellipticCurve, coeffs, where: str) -> Poly:
+    """coeffs as a Poly over the curve's field, wrapped without Poly's
+    own checks, which the ones here already make."""
+    q = curve.field.q
+    if not (isinstance(coeffs, list) and all(type(c) is int and 0 <= c < q for c in coeffs)):
         raise CacheError(f"{where}: {coeffs!r} is not a list of element encodings")
     if coeffs and coeffs[-1] == 0:
         raise CacheError(f"{where}: coefficient list not in canonical form")
-    return Poly(K, coeffs)
+    return curve.f._wrap(coeffs)
 
 
 def _header(curve: HyperellipticCurve, order: int) -> dict:
@@ -139,14 +140,16 @@ def load(cache_dir: str, curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...
         raise CacheError(
             f"cache {path}: recorded order {order!r} != {len(raw_divisors)} stored divisors"
         )
+    counted = curve.jacobian_order()
+    if order != counted:
+        raise CacheError(f"cache {path}: recorded order {order} != |J| = {counted}, counted")
 
-    K = curve.field
     divisors = []
     for i, item in enumerate(raw_divisors):
         if not (isinstance(item, list) and len(item) == 2):
             raise CacheError(f"cache {path}: divisors[{i}] is not a [u, v] pair")
-        u = _decode_poly(K, item[0], f"divisors[{i}].u")
-        v = _decode_poly(K, item[1], f"divisors[{i}].v")
+        u = _decode_poly(curve, item[0], f"divisors[{i}].u")
+        v = _decode_poly(curve, item[1], f"divisors[{i}].v")
         try:
             D = MumfordDivisor(u, v)
         except InvalidDivisorError as exc:
@@ -162,18 +165,13 @@ def load(cache_dir: str, curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...
 
 
 def ensure_jacobian(
-    curve: HyperellipticCurve,
-    cache_dir: str | None,
-    budget: int,
+    curve: HyperellipticCurve, cache_dir: str | None
 ) -> tuple[tuple[MumfordDivisor, ...], str]:
     """Enumeration via cache when possible; returns (divisors, source).
 
-    source is "cache" or "computed".  The budget is judged on the work
-    estimate before any cache lookup, so outcomes do not depend on cache
-    warmth.  A corrupt cache file is recomputed and rewritten, with a
-    warning line on stderr.
+    source is "cache" or "computed".  A corrupt or stale cache file is
+    recomputed and rewritten, with a warning line on stderr.
     """
-    curve.require_jacobian_budget(budget)
     if cache_dir:
         try:
             cached = load(cache_dir, curve)
@@ -182,7 +180,7 @@ def ensure_jacobian(
             cached = None
         if cached is not None:
             return cached, "cache"
-    divisors = curve.enumerate_jacobian(budget)
+    divisors = curve.enumerate_jacobian()
     if cache_dir:
         save(cache_dir, curve, divisors)
     return divisors, "computed"

@@ -12,6 +12,10 @@ Report bytes depend only on the configuration (including seeds), never on
 cache warmth or wall time, so reruns are byte-identical and diffable.
 Timing and cache-hit information goes to stderr only; the enumeration
 cache serves jacobian alone, and extract-sd and sweep never touch it.
+The work cap --budget is judged here alone, before any work or cache
+lookup, on each command's estimate: (sqrt(q) + 1)^4 classes for
+jacobian, extract-sd and each sweep curve, the character evaluations for
+charsum.
 Exit codes:
 0 success (warnings allowed), 1 a jacobian row whose status is fail or a
 charsum row whose status is not pass (the rows are still written),
@@ -37,7 +41,7 @@ from .charsum import (
     poly_char_sum,
     winterhof_sum,
 )
-from .curve import DEFAULT_BUDGET, HyperellipticCurve
+from .curve import HyperellipticCurve
 from .errors import BudgetExceededError, ConfigError, NotSquarefreeError
 from .extractors import ExtractorKind, max_k
 from .field import FiniteField, finite_field, is_prime
@@ -50,6 +54,8 @@ from .stats import (
 )
 
 SCHEMA_VERSION = 1
+
+DEFAULT_BUDGET = 10**6
 
 JACOBIAN_COLUMNS = [
     "schema", "command", "experiment_id", "p", "n", "q", "modulus", "f",
@@ -170,6 +176,17 @@ def _check_extractor_fits(kind: ExtractorKind, field: FiniteField, k: int) -> No
     top = max_k(kind, field)
     if not 1 <= k <= top:
         raise ConfigError(f"k = {k} out of range for {kind.value}: need 1 <= k <= {top}")
+
+
+def _require_budget(what: str, est: int, budget: int) -> None:
+    """BudgetExceededError when the work estimate est exceeds budget; what
+    names the work, with {} where est goes."""
+    if est > budget:
+        raise BudgetExceededError(f"{what.format(est)}, budget is {budget}")
+
+
+# _require_budget's text for the class-count gate, est = weil_interval()[1]
+_CLASSES = "Jacobian may hold up to {} classes"
 
 
 # -- report rendering ----------------------------------------------------------
@@ -334,11 +351,12 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
     budget = _as_int(cfg, "budget", DEFAULT_BUDGET)
     field = build_field(cfg)
     curve = HyperellipticCurve(field, str(_require(cfg, "f")))
+    lo, hi = curve.weil_interval()
+    _require_budget(_CLASSES, hi, budget)  # before the cache: warmth cannot pass it
 
     t0 = time.perf_counter()
-    divisors, source = cache.ensure_jacobian(curve, cfg.get("cache_dir"), budget)
+    divisors, source = cache.ensure_jacobian(curve, cfg.get("cache_dir"))
     order = len(divisors)
-    lo, hi = curve.weil_interval()
 
     # seeded group-law spot checks: commutativity, closure, identity, inverse
     rng = RandomSource(0)
@@ -383,17 +401,17 @@ def _extract_row(
     mode: str,
     samples: int | None,
     seed: int | None,
-    budget: int,
     command: str,
 ) -> dict:
-    """Shared by extract-sd and sweep.  Neither mode enumerates: an exact
-    row counts classes per u, a Monte-Carlo row places its draws on the
-    counted runs of classes per u."""
+    """Shared by extract-sd and sweep, which have judged the budget.
+    Neither mode enumerates: an exact row counts classes per u, a
+    Monte-Carlo row places its draws on the counted runs of classes per
+    u."""
     if mode == "exact":
-        tally = exact_output_distribution(curve, kind, k, budget)
+        tally = exact_output_distribution(curve, kind, k)
     else:
-        tally = monte_carlo_distribution(curve, kind, k, samples, seed, budget)
-    order = curve.jacobian_order(budget)
+        tally = monte_carlo_distribution(curve, kind, k, samples, seed)
+    order = curve.jacobian_order()
     rep = sd_report(curve, kind, k, tally, mode=mode, samples=samples, seed=seed)
     return (
         _extract_cell(command, curve, kind, k, mode, samples, seed)
@@ -420,22 +438,15 @@ def cmd_extract_sd(args: argparse.Namespace) -> int:
         raise ConfigError("montecarlo mode requires --samples and --seed")
     if mode == "exact":
         samples = seed = None
+    _require_budget(_CLASSES, curve.weil_interval()[1], budget)
 
     t0 = time.perf_counter()
     how = "tally = counted" if mode == "exact" else "tally = sampled"
-    row = _extract_row(curve, kind, k, mode, samples, seed, budget, "extract-sd")
+    row = _extract_row(curve, kind, k, mode, samples, seed, "extract-sd")
     emit_report(cfg, "extract-sd", EXTRACT_COLUMNS, [row])
     ms = (time.perf_counter() - t0) * 1000.0
     _note(f"extract-sd: sd = {row['sd']:.6g}, {how}, runtime_ms = {ms:.1f}")
     return 0
-
-
-def _charsum_budget_check(mode: str, est: int, budget: int) -> None:
-    if est > budget:
-        raise BudgetExceededError(
-            f"charsum mode {mode} needs about {est} character evaluations, "
-            f"budget is {budget}"
-        )
 
 
 def cmd_charsum(args: argparse.Namespace) -> int:
@@ -446,6 +457,7 @@ def cmd_charsum(args: argparse.Namespace) -> int:
             f"charsum mode must be one of {', '.join(CHARSUM_MODES)}, got {mode!r}"
         )
     budget = _as_int(cfg, "budget", DEFAULT_BUDGET)
+    evals = f"charsum mode {mode} needs about {{}} character evaluations"
     p = _as_int(cfg, "p", required=True)
 
     rows: list[dict] = []
@@ -470,7 +482,7 @@ def cmd_charsum(args: argparse.Namespace) -> int:
         L_single = _as_int(cfg, "L")
         Ls = [L_single] if L_single is not None else list(range(1, p + 1))
         # the running sums cost p terms per L up to the largest L
-        _charsum_budget_check(mode, p * max(Ls), budget)
+        _require_budget(evals, p * max(Ls), budget)
         for L in Ls:
             rep = interval_char_sum(p, L)
             rows.append(
@@ -498,7 +510,7 @@ def cmd_charsum(args: argparse.Namespace) -> int:
                     for mask in range(2**field.n)
                 ]
             est = sum(q * field.p ** len(b) for b in bases)
-        _charsum_budget_check(mode, est, budget)
+        _require_budget(evals, est, budget)
         base |= {"n": field.n, "q": q}
         if mode == "orthogonality":
             tol = 1e-9 * q
@@ -543,7 +555,7 @@ def cmd_charsum(args: argparse.Namespace) -> int:
                         })
         else:  # winterhof
             for basis in bases:
-                rep = winterhof_sum(field, AdditiveSubgroup(field, basis), budget)
+                rep = winterhof_sum(field, AdditiveSubgroup(field, basis))
                 dev = abs(rep.magnitude - q)
                 bstr = ";".join(map(str, basis))
                 rows.append(
@@ -619,7 +631,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for field, c in zip(fields, cs):
         curve = _resolve_template(field, template, c)
         try:
-            curve.require_jacobian_budget(budget)
+            _require_budget(_CLASSES, curve.weil_interval()[1], budget)
         except BudgetExceededError:
             for kind in kinds:
                 for k in ks:
@@ -632,7 +644,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for kind in kinds:
             for k in ks:
                 rows.append(
-                    _extract_row(curve, kind, k, "exact", None, None, budget, "sweep")
+                    _extract_row(curve, kind, k, "exact", None, None, "sweep")
                 )
 
     ok_rows = [r for r in rows if r["status"] == "ok"]

@@ -57,7 +57,6 @@ import math
 from typing import NamedTuple
 
 from .errors import (
-    BudgetExceededError,
     FieldMismatchError,
     InvalidDivisorError,
     NegativeScalarError,
@@ -79,8 +78,6 @@ from .poly import (
     raw_sub,
     raw_xgcd,
 )
-
-DEFAULT_BUDGET = 10**6
 
 # Bases a curve remembers for scalar_mul (_doubling_chain).  A Diffie-
 # Hellman exchange multiplies its fixed generator, then the two public
@@ -214,15 +211,8 @@ class HyperellipticCurve:
             self._sqrt = table
         return self._sqrt
 
-    def points(self, budget: int | None = None) -> tuple[AffinePoint, ...]:
+    def points(self) -> tuple[AffinePoint, ...]:
         """All affine points, ordered by (x, y) encodings."""
-        # budget is judged on the work estimate, not on cache warmth, so
-        # the outcome of a call does not depend on what ran before it
-        if budget is not None and self.field.q > budget:
-            raise BudgetExceededError(
-                f"point enumeration needs q = {self.field.q} evaluations, "
-                f"budget is {budget}"
-            )
         if self._points is None:
             K = self.field
             sqrt = self._sqrt_table()
@@ -544,20 +534,7 @@ class HyperellipticCurve:
         s = math.sqrt(self.field.q)
         return (math.floor((s - 1) ** 4), math.ceil((s + 1) ** 4))
 
-    def require_jacobian_budget(self, budget: int) -> None:
-        """Raise BudgetExceededError when the Weil upper bound on the class
-        count exceeds budget; judged on the estimate alone, never on cache
-        warmth, so outcomes do not depend on what ran before."""
-        upper = (math.sqrt(self.field.q) + 1) ** 4
-        if upper > budget:
-            raise BudgetExceededError(
-                f"Jacobian may hold up to {math.ceil(upper)} classes, "
-                f"budget is {budget}"
-            )
-
-    def enumerate_jacobian(
-        self, budget: int = DEFAULT_BUDGET
-    ) -> tuple[MumfordDivisor, ...]:
+    def enumerate_jacobian(self) -> tuple[MumfordDivisor, ...]:
         """Every reduced divisor, in canonical order: [1,0] first, then
         weight 1 following the point order, then weight 2 ordered by the
         coefficient vectors (u0, u1, v0, v1).
@@ -565,16 +542,15 @@ class HyperellipticCurve:
         Each of the q^2 monic quadratics u gets its v from a quadratic
         equation in c^2 solved with the square-root table, so the whole
         enumeration costs O(q^2) field operations."""
-        K = self.field
-        q = K.q
-        self.require_jacobian_budget(budget)
         if self._jacobian is not None:
             return self._jacobian
+        K = self.field
+        q = K.q
 
         add, sub, mul, neg, inv = K._add, K._sub, K._mul, K._neg, K._inv
         wrap = self._wrap_divisor
         out: list[MumfordDivisor] = [self.zero()]
-        for x, y in self.points(budget):
+        for x, y in self.points():
             out.append(wrap([neg(x), 1], [y] if y else []))
 
         sqrt = self._sqrt_table()
@@ -617,11 +593,9 @@ class HyperellipticCurve:
         self._jacobian = tuple(out)
         return self._jacobian
 
-    def value_counts(self, budget: int = DEFAULT_BUDGET) -> ValueCounts:
+    def value_counts(self) -> ValueCounts:
         """|J| and the classes per sum and per product of abscissas, added
-        up over the runs of _class_runs; no divisor is built.  Gated by
-        the same class-count budget as enumeration."""
-        self.require_jacobian_budget(budget)
+        up over the runs of _class_runs; no divisor is built."""
         if self._counts is not None:
             return self._counts
         neg = self.field._neg
@@ -681,9 +655,9 @@ class HyperellipticCurve:
                     yield i, n, b, a
                     i += n
 
-    def jacobian_order(self, budget: int = DEFAULT_BUDGET) -> int:
+    def jacobian_order(self) -> int:
         """|J|, counted (value_counts), not enumerated."""
-        return self.value_counts(budget).order
+        return self.value_counts().order
 
     # -- identity -------------------------------------------------------------
 

@@ -83,7 +83,7 @@ class BadSubgroupBasisError(XjacError, ValueError):
 
 
 class BudgetExceededError(XjacError):
-    """Requested enumeration or sampling exceeds the configured budget."""
+    """A command's work estimate exceeds its --budget (raised by the CLI)."""
 
 
 class ConfigError(XjacError, ValueError):

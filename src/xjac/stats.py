@@ -23,15 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .curve import DEFAULT_BUDGET, HyperellipticCurve
-from .errors import BudgetExceededError, KOutOfRangeError
-from .extractors import (
-    ExtractorKind,
-    extract,
-    outcome_count,
-    outcome_index,
-    value_output,
-)
+from .curve import HyperellipticCurve
+from .errors import KOutOfRangeError
+from .extractors import ExtractorKind, extract, outcome_count, outcome_index
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -208,66 +202,58 @@ def acceptance_envelope(kind: ExtractorKind, p: int, n: int, k: int) -> float:
 
 
 def exact_output_distribution(
-    curve: HyperellipticCurve,
-    kind: ExtractorKind,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
+    curve: HyperellipticCurve, kind: ExtractorKind, k: int
 ) -> Tally:
     """Outcome tally of an extractor over every divisor class.
 
     Counted, not enumerated: the extractor reads a class only through the
     sum or product of its abscissas, so the tally adds up
     curve.value_counts() (#v per u, Cantor 1987) per value, O(q + m) per
-    (kind, k) once the curve's one O(q^2) counting pass has run.  The
-    neutral class goes through extract itself, which also rejects a kind
-    or k that does not fit the field before any counting."""
-    curve.require_jacobian_budget(budget)
+    (kind, k) once the curve's one O(q^2) counting pass has run.  A value
+    val lands on outcome val % m: its first k base-p digits (coordinates
+    in the power basis, low first) or its k low bits.  The neutral class
+    goes through extract itself, which also rejects a kind or k that does
+    not fit the field before any counting."""
     field = curve.field
-    p = field.p
-    counts = {outcome_index(kind, p, extract(curve, curve.zero(), kind, k)): 1}
-    by_value = curve.value_counts(budget)
+    counts = {outcome_index(kind, field.p, extract(curve, curve.zero(), kind, k)): 1}
+    m = outcome_count(kind, field, k)
+    by_value = curve.value_counts()
     for val, n in enumerate(by_value.products if kind.uses_product else by_value.sums):
         if n:
-            idx = outcome_index(kind, p, value_output(field, kind, val, k))
-            counts[idx] = counts.get(idx, 0) + n
-    return Tally(outcome_count(kind, field, k), counts)
+            counts[val % m] = counts.get(val % m, 0) + n
+    return Tally(m, counts)
 
 
 def monte_carlo_distribution(
-    curve: HyperellipticCurve,
-    kind: ExtractorKind,
-    k: int,
-    samples: int,
-    seed: int,
-    budget: int = DEFAULT_BUDGET,
+    curve: HyperellipticCurve, kind: ExtractorKind, k: int, samples: int, seed: int
 ) -> Tally:
     """Outcome tally over `samples` classes drawn uniformly (splitmix64
     stream from `seed`) by index into enumerate_jacobian's order.
 
     Sampled, not enumerated: the sorted draws are placed on the runs of
     classes that share a u (curve._class_runs), and each takes the value
-    its u gives the extractor.  The neutral class goes through extract,
+    its u gives the extractor, on outcome value % m as in
+    exact_output_distribution.  The neutral class goes through extract,
     which rejects a kind or k that does not fit before any counting."""
     if type(samples) is not int or samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
-    curve.require_jacobian_budget(budget)
     field = curve.field
-    p, neg = field.p, field._neg
-    outcome = {0: outcome_index(kind, p, extract(curve, curve.zero(), kind, k))}
-    order = curve.jacobian_order(budget)
+    neg = field._neg
+    outcome = {0: outcome_index(kind, field.p, extract(curve, curve.zero(), kind, k))}
+    m = outcome_count(kind, field, k)
+    order = curve.jacobian_order()
     src = RandomSource(seed)
     draws = [src.next_below(order) for _ in range(samples)]
-    by_value = [outcome_index(kind, p, value_output(field, kind, v, k)) for v in range(field.q)]
     todo = sorted(set(draws).difference(outcome)) + [order]  # no run reaches order
     runs, j = curve._class_runs(), 0
     while todo[j] < order:
         first, n, u0, u1 = next(runs)
         if todo[j] < first + n:
-            idx = by_value[neg(u0) if u1 is None else u0 if kind.uses_product else neg(u1)]
+            idx = (neg(u0) if u1 is None else u0 if kind.uses_product else neg(u1)) % m
             while todo[j] < first + n:
                 outcome[todo[j]] = idx
                 j += 1
-    return Tally.from_outcomes(outcome_count(kind, field, k), (outcome[i] for i in draws))
+    return Tally.from_outcomes(m, (outcome[i] for i in draws))
 
 
 # -- assembled report ------------------------------------------------------------

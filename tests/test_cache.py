@@ -17,7 +17,7 @@ from xjac.cache import (
     serialize,
 )
 from xjac.curve import HyperellipticCurve
-from xjac.errors import BudgetExceededError, CacheError
+from xjac.errors import CacheError
 from xjac.field import finite_field
 
 
@@ -29,7 +29,7 @@ def fresh_curve(p=7, n=1, f="1,0,0,0,0,1"):
 
 def warm_cache(tmp_path, **kw):
     curve = fresh_curve(**kw)
-    divisors, source = ensure_jacobian(curve, str(tmp_path), budget=10**6)
+    divisors, source = ensure_jacobian(curve, str(tmp_path))
     assert source == "computed"
     return curve, divisors
 
@@ -57,7 +57,9 @@ class TestRoundtrip:
         reloaded_curve = fresh_curve()
         reloaded = load(str(tmp_path), reloaded_curve)
         assert reloaded == divisors
-        # the load leaves the curve as it was: the order is counted
+        # the load checks the file against the counted order and keeps no
+        # enumeration on the curve
+        assert reloaded_curve._jacobian is None
         assert reloaded_curve.jacobian_order() == 50
         assert len(reloaded_curve.points()) == 7
 
@@ -66,13 +68,13 @@ class TestRoundtrip:
 
     def test_ensure_uses_cache_second_time(self, tmp_path, capsys):
         warm_cache(tmp_path)
-        divisors, source = ensure_jacobian(fresh_curve(), str(tmp_path), budget=10**6)
+        divisors, source = ensure_jacobian(fresh_curve(), str(tmp_path))
         assert source == "cache"
         assert len(divisors) == 50
         assert capsys.readouterr().err == ""
 
     def test_ensure_without_dir_computes(self):
-        divisors, source = ensure_jacobian(fresh_curve(), None, budget=10**6)
+        divisors, source = ensure_jacobian(fresh_curve(), None)
         assert source == "computed"
         assert len(divisors) == 50
 
@@ -155,19 +157,26 @@ class TestValidation:
         with pytest.raises(CacheError, match="order"):
             load(str(tmp_path), fresh_curve())
 
-    def test_truncated_divisors(self, tmp_path):
-        curve, _ = warm_cache(tmp_path)
+    def test_truncated_divisors(self, tmp_path, capsys):
+        curve, divisors = warm_cache(tmp_path)
+        path = cache_path(str(tmp_path), curve)
+        good = Path(path).read_bytes()
 
         def mutate(d):
             d["divisors"] = d["divisors"][:-1]
             d["order"] = len(d["divisors"])
 
         corrupt(tmp_path, curve, mutate)
-        # still structurally fine per entry, but [1,0] stays first and all
-        # entries valid; dropping the tail must still reload or fail loudly.
-        # Here it reloads: validation is per-entry, the order field matches.
-        reloaded = load(str(tmp_path), fresh_curve())
-        assert len(reloaded) == 49
+        # every entry is valid, [1, 0] is first and the recorded order
+        # matches the count, but the curve counts 50 classes
+        with pytest.raises(CacheError, match=r"recorded order 49 != \|J\| = 50"):
+            load(str(tmp_path), fresh_curve())
+
+        out, source = ensure_jacobian(fresh_curve(), str(tmp_path))
+        assert source == "computed"
+        assert out == divisors
+        assert "ignoring corrupt cache" in capsys.readouterr().err
+        assert Path(path).read_bytes() == good
 
     def test_invalid_divisor_rejected(self, tmp_path):
         curve, _ = warm_cache(tmp_path)
@@ -243,7 +252,7 @@ class TestRecovery:
         with open(path, "w") as fh:
             fh.write("garbage")
 
-        out, source = ensure_jacobian(fresh_curve(), str(tmp_path), budget=10**6)
+        out, source = ensure_jacobian(fresh_curve(), str(tmp_path))
         assert source == "computed"
         assert out == divisors
         assert "ignoring corrupt cache" in capsys.readouterr().err
@@ -266,7 +275,7 @@ class TestRecovery:
         with pytest.raises(CacheError, match=r"divisors\[1\]"):
             load(str(tmp_path), fresh_curve())
 
-        out, source = ensure_jacobian(fresh_curve(), str(tmp_path), budget=10**6)
+        out, source = ensure_jacobian(fresh_curve(), str(tmp_path))
         assert source == "computed"
         assert out == divisors
         assert "ignoring corrupt cache" in capsys.readouterr().err
@@ -290,16 +299,10 @@ class TestRecovery:
         path = Path(cache_path(str(tmp_path), curve))
         path.write_text(json.dumps(v1, sort_keys=True, separators=(",", ":")) + "\n")
 
-        out, source = ensure_jacobian(fresh_curve(**kw), str(tmp_path), budget=10**6)
+        out, source = ensure_jacobian(fresh_curve(**kw), str(tmp_path))
         assert source == "computed"
         assert out == divisors
         assert "ignoring corrupt cache" in capsys.readouterr().err
         rewritten = path.read_bytes()
         path.unlink()
         assert rewritten == Path(save(str(tmp_path), curve, divisors)).read_bytes()
-
-    def test_budget_checked_before_cache(self, tmp_path):
-        warm_cache(tmp_path)
-        # (sqrt(7)+1)^4 ~ 176.7, so a warm cache must not rescue budget=100
-        with pytest.raises(BudgetExceededError):
-            ensure_jacobian(fresh_curve(), str(tmp_path), budget=100)

@@ -21,7 +21,6 @@ from xjac.charsum import (
 )
 from xjac.errors import (
     BadSubgroupBasisError,
-    BudgetExceededError,
     DegreeTooHighError,
     FieldMismatchError,
     LOutOfRangeError,
@@ -297,10 +296,6 @@ class TestSubgroups:
                 hits += 1
                 assert s == pytest.approx(len(V))
         assert hits == K.q // len(V)
-
-    def test_winterhof_budget(self, F27):
-        with pytest.raises(BudgetExceededError):
-            winterhof_sum(F27, [0, 1, 2], budget=100)
 
     def test_winterhof_field_mismatch(self, F9, F27):
         with pytest.raises(FieldMismatchError):

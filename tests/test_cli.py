@@ -117,6 +117,15 @@ class TestJacobian:
         assert code == 3
         assert "error:" in err
 
+    def test_budget_checked_before_a_warm_cache(self, capsys, tmp_path):
+        cache_args = ["--cache-dir", str(tmp_path)]
+        assert run(capsys, ["jacobian", *F7_ARGS, *cache_args])[0] == 0
+        assert os.listdir(tmp_path)
+        # (sqrt(7) + 1)^4 ~ 176.7, so the warm cache must not rescue 100
+        code, out, err = run(capsys, ["jacobian", *F7_ARGS, *cache_args, "--budget", "100"])
+        assert code == 3 and out == ""
+        assert err == "error: Jacobian may hold up to 177 classes, budget is 100\n"
+
 
 class TestExtractSD:
     def test_exact_golden(self, capsys):
@@ -185,6 +194,19 @@ class TestExtractSD:
             assert run(capsys, [*argv, str(a)])[0] == 0
             assert run(capsys, [*argv, str(b)])[0] == 0
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("mode_args", [
+        [], ["--mode", "montecarlo", "--samples", "10", "--seed", "1"],
+    ], ids=["exact", "montecarlo"])
+    def test_over_budget_exits_3(self, capsys, monkeypatch, mode_args):
+        def no_count(curve):
+            raise AssertionError("counted past the budget")
+
+        monkeypatch.setattr(HyperellipticCurve, "_class_runs", no_count)
+        code, out, err = run(capsys, ["extract-sd", "--p", "1009", "--f", "1,3,0,0,0,1",
+                                      "--extractor", "sum", "--k", "1", *mode_args])
+        assert code == 3 and out == ""
+        assert err == "error: Jacobian may hold up to 1152466 classes, budget is 1000000\n"
 
 
 class TestCharsum:
@@ -265,6 +287,19 @@ class TestCharsum:
         assert code == 0
         (row,) = rows_of(out)
         assert row["basis"] == "0" and row["status"] == "pass"
+
+    @pytest.mark.parametrize("argv, est", [
+        (["--mode", "orthogonality", "--p", "3", "--n", "2", "--budget", "80"], 81),
+        (["--mode", "winterhof", "--p", "3", "--n", "3", "--basis", "0,1,2",
+          "--budget", "100"], 729),
+    ], ids=["orthogonality", "winterhof"])
+    def test_over_budget_exits_3(self, capsys, argv, est):
+        code, out, err = run(capsys, ["charsum", *argv])
+        assert code == 3 and out == ""
+        assert err == (
+            f"error: charsum mode {argv[1]} needs about {est} character evaluations, "
+            f"budget is {argv[-1]}\n"
+        )
 
     def test_winterhof_non_integer_basis(self, capsys):
         code, out, err = run(capsys, ["charsum", "--mode", "winterhof", "--p", "3",
@@ -356,10 +391,10 @@ class TestSweep:
         passes = []
         count = HyperellipticCurve.value_counts
 
-        def counting(curve, budget):
+        def counting(curve):
             if curve._counts is None:
                 passes.append(curve.field.p)
-            return count(curve, budget)
+            return count(curve)
 
         monkeypatch.setattr(HyperellipticCurve, "value_counts", counting)
         code, out, _ = run(capsys, [*self.ARGV, "--k", "1,1"])

@@ -5,7 +5,7 @@ algorithm), scalar multiplication (the signed-digit ladder against a
 binary one and repeated addition, on fresh and remembered doubling
 chains, which stay bounded and per curve), Jacobian enumeration (cross-checked
 against naive and O(q^3) scan oracles and the zeta-function identity for
-#J), the counted runs of classes per u and budgets."""
+#J) and the counted runs of classes per u."""
 
 import itertools
 
@@ -19,7 +19,6 @@ from xjac.curve import (
     find_squarefree_quintic,
 )
 from xjac.errors import (
-    BudgetExceededError,
     FieldMismatchError,
     InvalidDivisorError,
     NegativeScalarError,
@@ -971,29 +970,3 @@ class TestGroupLaws:
     def test_scalar_mul_rejects_non_int(self, c7, m):
         with pytest.raises(NegativeScalarError):
             c7.scalar_mul(c7.zero(), m)
-
-
-class TestBudget:
-    def test_enumeration_budget(self, F13):
-        curve = HyperellipticCurve(F13, "1,2,0,0,0,1")
-        with pytest.raises(BudgetExceededError):
-            curve.enumerate_jacobian(budget=100)
-
-    def test_budget_checked_before_cache(self, F7):
-        curve = HyperellipticCurve(F7, "1,0,0,0,0,1")
-        curve.enumerate_jacobian()  # warm the in-memory cache
-        curve.value_counts()
-        with pytest.raises(BudgetExceededError):
-            curve.enumerate_jacobian(budget=10)
-        with pytest.raises(BudgetExceededError):
-            curve.value_counts(budget=10)
-        with pytest.raises(BudgetExceededError):
-            curve.jacobian_order(budget=10)
-        with pytest.raises(BudgetExceededError):
-            curve.points(budget=3)
-
-    def test_points_budget(self, F7):
-        curve = HyperellipticCurve(F7, "1,0,0,0,0,1")
-        with pytest.raises(BudgetExceededError):
-            curve.points(budget=6)
-        assert len(curve.points(budget=7)) == 7

@@ -10,17 +10,14 @@ from hypothesis import strategies as st
 
 from xjac import stats
 from xjac.curve import HyperellipticCurve
-from xjac.errors import (
-    BudgetExceededError,
-    KOutOfRangeError,
-    RequiresPrimeFieldError,
-)
+from xjac.errors import KOutOfRangeError, RequiresPrimeFieldError
 from xjac.extractors import (
     ExtractorKind,
     extract,
     max_k,
     outcome_count,
     outcome_index,
+    value_output,
 )
 from xjac.field import finite_field
 from xjac.stats import (
@@ -373,8 +370,6 @@ class TestCountedTally:
             exact_output_distribution(curve, ExtractorKind.SK, 3)
         with pytest.raises(KOutOfRangeError):
             exact_output_distribution(curve, ExtractorKind.PK, 0)
-        with pytest.raises(BudgetExceededError):
-            exact_output_distribution(curve, ExtractorKind.SUM, 1, budget=10)
         ext = fresh_curve(3, 2, "1,0,0,0,0,1")
         for kind in (ExtractorKind.SK, ExtractorKind.PK):
             with pytest.raises(RequiresPrimeFieldError):
@@ -383,11 +378,18 @@ class TestCountedTally:
         assert curve._counts is None and ext._counts is None
         assert curve._jacobian is None and ext._jacobian is None
 
-    def test_budget_judged_before_a_warm_count(self):
-        curve = fresh_curve(13, 1, "1,2,0,0,0,1")
-        exact_output_distribution(curve, ExtractorKind.SUM, 1)
-        with pytest.raises(BudgetExceededError):
-            exact_output_distribution(curve, ExtractorKind.SUM, 1, budget=100)
+    @pytest.mark.parametrize("p, n", [(7, 1), (31, 1), (3, 4), (5, 2), (3, 5)])
+    def test_outcome_is_value_mod_m(self, p, n):
+        """Both tallies put a class whose sum or product is val on outcome
+        val % m: the index of its first k base-p digits (coordinates, low
+        first) or of its k low bits (LSB first)."""
+        K = finite_field(p, n)
+        kinds = [kind for kind in ExtractorKind if n == 1 or not kind.is_bitwise]
+        for kind in kinds:
+            for k in range(1, max_k(kind, K) + 1):
+                m = outcome_count(kind, K, k)
+                for val in range(K.q):
+                    assert outcome_index(kind, p, value_output(K, kind, val, k)) == val % m
 
 
 class TestSDReport:
@@ -487,8 +489,6 @@ class TestMonteCarloMemo:
         curve = fresh_curve(7, 1, "1,0,0,0,0,1")
         with pytest.raises(KOutOfRangeError):
             monte_carlo_distribution(curve, ExtractorKind.SUM, 2, 10, seed=1)
-        with pytest.raises(BudgetExceededError):
-            monte_carlo_distribution(curve, ExtractorKind.SUM, 1, 10, seed=1, budget=10)
         ext = fresh_curve(3, 2, "1,0,0,0,0,1")
         with pytest.raises(RequiresPrimeFieldError):
             monte_carlo_distribution(ext, ExtractorKind.PK, 1, 10, seed=1)
