@@ -129,14 +129,15 @@ def load(cache_dir: str, curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...
     expected = _header(curve, None)
     del expected["order"]  # checked against the divisor count below
     for key, want in expected.items():
-        if data.get(key) != want:
-            raise CacheError(f"cache {path}: field {key!r} is {data.get(key)!r}, expected {want!r}")
+        got = data.get(key)
+        if type(got) is not type(want) or got != want:  # 7.0 == 7, but save writes no float
+            raise CacheError(f"cache {path}: field {key!r} is {got!r}, expected {want!r}")
 
     raw_divisors = data.get("divisors")
     order = data.get("order")
     if not isinstance(raw_divisors, list):
         raise CacheError(f"cache {path}: divisors must be a list")
-    if order != len(raw_divisors):
+    if type(order) is not int or order != len(raw_divisors):
         raise CacheError(
             f"cache {path}: recorded order {order!r} != {len(raw_divisors)} stored divisors"
         )

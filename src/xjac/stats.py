@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import collections
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -32,11 +33,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 class RandomSource:
-    """Deterministic 64-bit stream: splitmix64 over a counter.
-
-    next_below(n) is unbiased via rejection.  skip(k) advances the raw
-    stream by k draws; note that rejection may consume several raw draws
-    per bounded sample."""
+    """Deterministic 64-bit stream: splitmix64 over a counter (Steele, Lea
+    and Flood, OOPSLA 2014).  below(n, count) draws unbiased from [0, n)
+    by rejection, so a bounded draw may consume several raw draws; skip(k)
+    advances the raw stream by k raw draws."""
 
     __slots__ = ("seed", "_state")
 
@@ -48,21 +48,37 @@ class RandomSource:
         self.seed = seed
         self._state = seed & _MASK64
 
+    def below(self, n: int, count: int) -> list[int]:
+        """The next count draws from [0, n), in stream order, rejecting a
+        raw draw at or above the largest multiple of n up to 2^64.  Up to
+        1024 raw draws are mixed at once in one int, counter i in bits
+        [128i, 128i + 64): each shift (masked back to 64 bits), xor and
+        64 x 64-bit product stays in its 128-bit lane."""
+        if type(n) is not int or not 1 <= n <= 1 << 64:
+            raise ValueError(f"need an int n in [1, 2^64], got {n!r}")
+        if type(count) is not int or count < 0:
+            raise ValueError(f"need an int count >= 0, got {count!r}")
+        threshold = (1 << 64) - (1 << 64) % n
+        s, out = self._state, []
+        while len(out) < count:
+            k = min(count - len(out), 1024)
+            fmt = "<" + "Q8x" * k  # a lane per draw, its counter in the low 64 bits
+            ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+            low = ones * _MASK64
+            z = (int.from_bytes(struct.pack(fmt, *range(1, k + 1)), "little") * _GAMMA + s * ones) & low
+            z = ((z ^ (z >> 30 & low)) * 0xBF58476D1CE4E5B9) & low
+            z = ((z ^ (z >> 27 & low)) * 0x94D049BB133111EB) & low
+            z ^= z >> 31 & low
+            out += [r % n for r in struct.unpack(fmt, z.to_bytes(16 * k, "little")) if r < threshold]
+            s = (s + k * _GAMMA) & _MASK64
+        self._state = s
+        return out
+
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self.below(1 << 64, 1)[0]
 
     def next_below(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError(f"need n >= 1, got {n}")
-        threshold = (1 << 64) - ((1 << 64) % n)
-        while True:
-            r = self.next_u64()
-            if r < threshold:
-                return r % n
+        return self.below(n, 1)[0]
 
     def skip(self, k: int) -> None:
         self._state = (self._state + _GAMMA * k) & _MASK64
@@ -242,8 +258,7 @@ def monte_carlo_distribution(
     outcome = {0: outcome_index(kind, field.p, extract(curve, curve.zero(), kind, k))}
     m = outcome_count(kind, field, k)
     order = curve.jacobian_order()
-    src = RandomSource(seed)
-    draws = [src.next_below(order) for _ in range(samples)]
+    draws = RandomSource(seed).below(order, samples)
     todo = sorted(set(draws).difference(outcome)) + [order]  # no run reaches order
     runs, j = curve._class_runs(), 0
     while todo[j] < order:
@@ -253,7 +268,7 @@ def monte_carlo_distribution(
             while todo[j] < first + n:
                 outcome[todo[j]] = idx
                 j += 1
-    return Tally.from_outcomes(m, (outcome[i] for i in draws))
+    return Tally.from_outcomes(m, map(outcome.__getitem__, draws))
 
 
 # -- assembled report ------------------------------------------------------------

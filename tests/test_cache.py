@@ -281,6 +281,24 @@ class TestRecovery:
         assert "ignoring corrupt cache" in capsys.readouterr().err
         assert Path(path).read_bytes() == good
 
+    @pytest.mark.parametrize(
+        "field,value", [("p", 7.0), ("n", 1.0), ("order", 50.0), ("version", float(CACHE_VERSION))]
+    )
+    def test_float_header_recomputed_and_rewritten(self, tmp_path, capsys, field, value):
+        # each float equals the int save wrote, but save never writes a float
+        curve, divisors = warm_cache(tmp_path)
+        path = cache_path(str(tmp_path), curve)
+        good = Path(path).read_bytes()
+        corrupt(tmp_path, curve, lambda d: d.__setitem__(field, value))
+        with pytest.raises(CacheError, match=field):
+            load(str(tmp_path), fresh_curve())
+
+        out, source = ensure_jacobian(fresh_curve(), str(tmp_path))
+        assert source == "computed"
+        assert out == divisors
+        assert "ignoring corrupt cache" in capsys.readouterr().err
+        assert Path(path).read_bytes() == good
+
     @pytest.mark.parametrize("kw", [{}, {"p": 3, "n": 3, "f": "0,1,0,0,0,1"}])
     def test_version_1_file_rewritten(self, tmp_path, capsys, kw):
         curve = fresh_curve(**kw)

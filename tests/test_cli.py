@@ -21,6 +21,8 @@ from xjac.cli import (
     render_json,
 )
 from xjac.curve import HyperellipticCurve
+from xjac.field import finite_field
+from xjac.stats import RandomSource
 
 
 def run(capsys, argv):
@@ -87,6 +89,28 @@ class TestJacobian:
         # the group-law spot checks, by Cantor's algorithm over F_9
         assert row["spot_checks"] == "128" and row["spot_failures"] == "0"
         assert row["status"] == "ok"
+
+    def test_spot_check_operands(self, capsys, monkeypatch):
+        """The row records only how many checks ran; the operands are the
+        pairs of 64 next_below(|J|) draws from RandomSource(0), in turn."""
+        calls = []
+        original = HyperellipticCurve.cantor_add
+
+        def record(self, A, B):
+            calls.append((A, B))
+            return original(self, A, B)
+
+        monkeypatch.setattr(HyperellipticCurve, "cantor_add", record)
+        monkeypatch.delenv("XJAC_CACHE_DIR", raising=False)
+        assert run(capsys, ["jacobian", *F7_ARGS])[0] == 0
+
+        J = HyperellipticCurve(finite_field(7), "1,0,0,0,0,1").enumerate_jacobian()
+        rng = RandomSource(0)
+        picks = [J[rng.next_below(len(J))] for _ in range(64)]
+        # each check composes A + B, then B + A, A + 0 and A + (-A)
+        assert len(calls) == 4 * 32
+        assert calls[0::4] == list(zip(picks[0::2], picks[1::2]))
+        assert calls[1::4] == list(zip(picks[1::2], picks[0::2]))
 
     def test_failed_spot_checks_exit_1(self, capsys, monkeypatch):
         """A broken group law still writes its fail row, then exits 1."""

@@ -40,6 +40,16 @@ from xjac.stats import (
 )
 
 
+def splitmix64(state):
+    """The reference stream, one raw draw at a time (Steele, Lea and
+    Flood, OOPSLA 2014)."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % (1 << 64)
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % (1 << 64)
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % (1 << 64)
+        yield z ^ (z >> 31)
+
+
 class TestRandomSource:
     def test_determinism(self):
         a = RandomSource(42)
@@ -69,6 +79,52 @@ class TestRandomSource:
 
     def test_algorithm_tag(self):
         assert RandomSource(0).algorithm == "splitmix64"
+
+    @pytest.mark.parametrize(
+        "seed,published",
+        [
+            (0, [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]),
+            (1234567, [6457827717110365317, 3203168211198807973]),
+        ],
+    )
+    def test_published_splitmix64_vectors(self, seed, published):
+        src = RandomSource(seed)
+        assert [src.next_u64() for _ in published] == published
+        assert RandomSource(seed).below(1 << 64, len(published)) == published
+
+    @pytest.mark.parametrize("n", [1, 11, 855982, 3 << 62, 1 << 64])
+    @pytest.mark.parametrize("count", [0, 1, 1000, 2500])
+    def test_below_is_count_single_draws(self, n, count):
+        """below mixes up to 1024 raw draws per pass; the draws, the
+        rejections and the state left behind are those of the textbook
+        generator drawn one at a time, and of count next_below calls."""
+        one, batch = RandomSource(5), RandomSource(5)
+        singles = [one.next_below(n) for _ in range(count)]
+        assert batch.below(n, count) == singles
+        assert batch._state == one._state
+        raw, expected = splitmix64(5), []
+        while len(expected) < count:
+            r = next(raw)
+            if r < (1 << 64) - (1 << 64) % n:
+                expected.append(r % n)
+        assert singles == expected
+        consumed = (one._state - 5) * pow(0x9E3779B97F4A7C15, -1, 1 << 64) % (1 << 64)
+        # 2^64 mod 3*2^62 = 2^62: a quarter of raw draws are rejected
+        assert consumed > count if n == 3 << 62 and count >= 1000 else consumed == count
+        assert next(raw) == one.next_u64()
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, 0, -1, "11", (1 << 64) + 1])
+    def test_below_needs_an_int_n_in_1_to_2_64(self, n):
+        # above 2^64 every raw draw would be rejected
+        with pytest.raises(ValueError):
+            RandomSource(0).below(n, 1)
+        with pytest.raises(ValueError):
+            RandomSource(0).next_below(n)
+
+    @pytest.mark.parametrize("count", [-1, 2.0, True, None])
+    def test_below_needs_an_int_count_of_at_least_0(self, count):
+        with pytest.raises(ValueError):
+            RandomSource(0).below(11, count)
 
     @pytest.mark.parametrize("seed", [True, False, 1.0, -1])
     def test_seed_must_be_a_non_negative_int(self, seed):
