@@ -31,10 +31,11 @@ f == r1*x + r0 and v = c*x + d, u | v^2 - f reads 2cd - a*c^2 = r1 and
 d^2 - b*c^2 = r0, so checking a divisor costs O(1) field operations and
 enumerating the Jacobian solves a quadratic for c^2 per u, O(q^2) in all.
 
-The extractors read a class only through u, so _class_runs walks the
-monic u in enumeration order and gives #v(u), the number of reduced
-[u, v], without building any class, and value_counts adds its runs up by
-sum and by product of abscissas.  #v(u) is (Cantor, Math. Comp. 48, 1987)
+The extractors read a class only through u, so _class_table holds
+#v(u), the number of reduced [u, v], for every monic u of degree 1 or 2
+in enumeration order, without building any class, and value_counts adds
+it up by sum and by product of abscissas.  #v(u) is (Cantor, Math.
+Comp. 48, 1987)
 
     deg u = 0:                 1 (the neutral class)
     u = x - x1:                w1[x1] = #sqrt(f(x1))
@@ -47,8 +48,8 @@ odd), and r0^2 - a*r0*r1 + b*r1^2 is the norm to F_q of f(theta) for a
 root theta of u in F_q^2: v(theta) is a square root of f(theta) there,
 and an element of F_q^2 is a square exactly when its norm is a square in
 F_q.  For fixed a, r1 and r0 are quadratics in b and the norm a quintic
-N_a(b), built once per a: the walk costs O(q^2) field operations and O(q)
-memory.
+N_a(b), built once per a: the table costs O(q^2) field operations once
+per curve and keeps q^2 + q bytes.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class HyperellipticCurve:
 
     __slots__ = (
         "field", "f", "_fraw", "_prime", "_sqrt", "_points", "_jacobian",
-        "_counts", "_doublings",
+        "_table", "_counts", "_doublings",
     )
 
     def __init__(self, field: FiniteField, f):
@@ -195,6 +196,7 @@ class HyperellipticCurve:
         self._sqrt = None
         self._points = None
         self._jacobian = None
+        self._table = None
         self._counts = None
         self._doublings: dict[tuple, list | None] = {}  # _doubling_chain
 
@@ -530,9 +532,12 @@ class HyperellipticCurve:
     # -- enumeration ----------------------------------------------------------
 
     def weil_interval(self) -> tuple[int, int]:
-        """Closed integer interval certainly containing the group order."""
-        s = math.sqrt(self.field.q)
-        return (math.floor((s - 1) ** 4), math.ceil((s + 1) ** 4))
+        """Closed integer interval certainly containing the group order:
+        (sqrt(q) -+ 1)^4 = q^2 + 6q + 1 -+ sqrt((4q + 4)^2 * q), rounded
+        out in integers."""
+        q = self.field.q
+        r = math.isqrt((4 * q + 4) ** 2 * q - 1) + 1  # ceil(sqrt((4q + 4)^2 * q))
+        return (q * q + 6 * q + 1 - r, q * q + 6 * q + 1 + r)
 
     def enumerate_jacobian(self) -> tuple[MumfordDivisor, ...]:
         """Every reduced divisor, in canonical order: [1,0] first, then
@@ -595,35 +600,31 @@ class HyperellipticCurve:
 
     def value_counts(self) -> ValueCounts:
         """|J| and the classes per sum and per product of abscissas, added
-        up over the runs of _class_runs; no divisor is built."""
+        up over _class_table; no divisor is built."""
         if self._counts is not None:
             return self._counts
-        neg = self.field._neg
-        sums, products = [0] * self.field.q, [0] * self.field.q
-        for _, n, u0, u1 in self._class_runs():
-            # x^2 + u1*x + u0: abscissas sum to -u1 and multiply to u0
-            if u1 is None:  # x + u0: -u0 is both the sum and the product
-                u0, u1 = neg(u0), u0
-            sums[neg(u1)] += n
-            products[u0] += n
-        self._counts = ValueCounts(1 + sum(sums), tuple(sums), tuple(products))
+        q, neg = self.field.q, self.field._neg
+        T = self._class_table()
+        # x - x1 sits at x1, and x1 is its sum and its product; x^2 + a*x + b
+        # sits at q + b*q + a, a row per b and a column per sum -a
+        sums = tuple(T[x] + sum(T[q + neg(x) :: q]) for x in range(q))
+        products = tuple(T[b] + sum(T[q + b * q : 2 * q + b * q]) for b in range(q))
+        self._counts = ValueCounts(1 + sum(T), sums, products)
         return self._counts
 
-    def _class_runs(self):
-        """(first index, #v(u), u0, u1) for each u = x^2 + u1*x + u0, or
-        x + u0 with u1 None, that carries a class, in enumerate_jacobian's
-        order (the classes of one u are contiguous there); #v(u) from the
-        table in the module docstring, an irreducible u's norm from the
-        quintic N_a(b), with O(q) memory."""
+    def _class_table(self) -> bytes:
+        """#v(u) for every monic u of degree 1 or 2 in enumerate_jacobian's
+        order (the classes of one u are contiguous there): x - x1 at x1,
+        x^2 + a*x + b at q + b*q + a.  #v(u) from the table in the module
+        docstring, an irreducible u's norm from the quintic N_a(b); built
+        once per curve."""
+        if self._table is not None:
+            return self._table
         K = self.field
         add, sub, mul, neg = K._add, K._sub, K._mul, K._neg
         sqrt = self._sqrt_table()
         w1 = [len(sqrt[raw_eval(K, self._fraw, x)]) for x in range(K.q)]
-        i = 1
-        for x, n in enumerate(w1):
-            if n:
-                yield i, n, neg(x), None
-                i += n
+        table = bytearray(w1)
         # x^2 + a*x + b = (x - h)^2 - (h^2 - b) with h = -a/2
         half = K._inv(add(1, 1))
         hs = [neg(mul(a, half)) for a in range(K.q)]
@@ -651,9 +652,9 @@ class HyperellipticCurve:
                     n0, n1, n2, n3, n4, n5 = norms[a]
                     t = mul(add(mul(add(mul(add(mul(n5, b), n4), b), n3), b), n2), b)
                     n = len(sqrt[add(mul(add(t, n1), b), n0)])
-                if n:
-                    yield i, n, b, a
-                    i += n
+                table.append(n)
+        self._table = bytes(table)
+        return self._table
 
     def jacobian_order(self) -> int:
         """|J|, counted (value_counts), not enumerated."""

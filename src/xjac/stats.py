@@ -7,21 +7,25 @@ with rejection, so runs are reproducible across platforms from a seed.
 
 Neither distribution builds a divisor: extractors read a class [u, v]
 only through u (the sum -u1 or the product u0 of its abscissas).  The
-curve's _class_runs walks every monic u of degree <= 2 in
-enumerate_jacobian's canonical order with #v(u), its number of classes
-(Cantor, Math. Comp. 48, 1987).  An exact tally adds up value_counts,
-those runs summed by value, one O(q^2) walk per curve shared by every
-(extractor, k); a Monte-Carlo tally places indices drawn into the same
-order on the runs.  The enumeration stays the tests' oracle for both.
+curve's _class_table holds #v(u), its number of classes (Cantor, Math.
+Comp. 48, 1987), for every monic u of degree 1 or 2 in
+enumerate_jacobian's canonical order: one O(q^2) walk per curve, kept
+as q^2 + q bytes.  An exact tally adds up value_counts, that table
+summed by value, shared by every (extractor, k); a Monte-Carlo tally
+expands the table into one outcome per class index and reads the drawn
+indices from it.  The enumeration stays the tests' oracle for both.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable, Mapping
 
 from .curve import HyperellipticCurve
@@ -30,6 +34,17 @@ from .extractors import ExtractorKind, extract, outcome_count, outcome_index
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# each 128-bit lane's low word among z.to_bytes(16 * k, sys.byteorder)'s native words
+_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
+
+
+@functools.lru_cache(maxsize=8)
+def _lanes(k: int) -> tuple[int, int, int]:
+    """Three ints of k 128-bit lanes, lane i holding (i + 1) * _GAMMA, 1
+    and 2^64 - 1 in turn: below's per-pass constants."""
+    counters = int.from_bytes(struct.pack("<" + "Q8x" * k, *range(1, k + 1)), "little")
+    ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+    return counters * _GAMMA, ones, ones * _MASK64
 
 
 class RandomSource:
@@ -62,14 +77,13 @@ class RandomSource:
         s, out = self._state, []
         while len(out) < count:
             k = min(count - len(out), 1024)
-            fmt = "<" + "Q8x" * k  # a lane per draw, its counter in the low 64 bits
-            ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
-            low = ones * _MASK64
-            z = (int.from_bytes(struct.pack(fmt, *range(1, k + 1)), "little") * _GAMMA + s * ones) & low
+            counters, ones, low = _lanes(k)
+            z = (counters + s * ones) & low
             z = ((z ^ (z >> 30 & low)) * 0xBF58476D1CE4E5B9) & low
             z = ((z ^ (z >> 27 & low)) * 0x94D049BB133111EB) & low
             z ^= z >> 31 & low
-            out += [r % n for r in struct.unpack(fmt, z.to_bytes(16 * k, "little")) if r < threshold]
+            raw = memoryview(z.to_bytes(16 * k, sys.byteorder)).cast("Q")[_LOW_WORDS]
+            out += [r % n for r in raw if r < threshold]
             s = (s + k * _GAMMA) & _MASK64
         self._state = s
         return out
@@ -246,29 +260,27 @@ def monte_carlo_distribution(
     """Outcome tally over `samples` classes drawn uniformly (splitmix64
     stream from `seed`) by index into enumerate_jacobian's order.
 
-    Sampled, not enumerated: the sorted draws are placed on the runs of
-    classes that share a u (curve._class_runs), and each takes the value
-    its u gives the extractor, on outcome value % m as in
-    exact_output_distribution.  The neutral class goes through extract,
-    which rejects a kind or k that does not fit before any counting."""
+    Sampled, not enumerated: curve._class_table expands into the outcome
+    of every class index, the value its u gives the extractor % m as in
+    exact_output_distribution, and each draw reads its outcome there.  The
+    neutral class goes through extract, which rejects a kind or k that
+    does not fit before any counting."""
     if type(samples) is not int or samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     field = curve.field
-    neg = field._neg
-    outcome = {0: outcome_index(kind, field.p, extract(curve, curve.zero(), kind, k))}
+    q, neg = field.q, field._neg
+    zero = outcome_index(kind, field.p, extract(curve, curve.zero(), kind, k))
     m = outcome_count(kind, field, k)
-    order = curve.jacobian_order()
-    draws = RandomSource(seed).below(order, samples)
-    todo = sorted(set(draws).difference(outcome)) + [order]  # no run reaches order
-    runs, j = curve._class_runs(), 0
-    while todo[j] < order:
-        first, n, u0, u1 = next(runs)
-        if todo[j] < first + n:
-            idx = (neg(u0) if u1 is None else u0 if kind.uses_product else neg(u1)) % m
-            while todo[j] < first + n:
-                outcome[todo[j]] = idx
-                j += 1
-    return Tally.from_outcomes(m, map(outcome.__getitem__, draws))
+    draws = RandomSource(seed).below(curve.jacobian_order(), samples)
+    # x - x1 at position x1 gives x1; x^2 + a*x + b at q + b*q + a gives b
+    # (product) or -a (sum), so the quadratics run a row of q per b
+    if kind.uses_product:
+        quadratics = chain.from_iterable(repeat(b % m, q) for b in range(q))
+    else:
+        quadratics = chain.from_iterable(repeat([neg(a) % m for a in range(q)], q))
+    outcomes = chain([x % m for x in range(q)], quadratics)
+    per_class = [zero, *chain.from_iterable(map(repeat, outcomes, curve._class_table()))]
+    return Tally.from_outcomes(m, map(per_class.__getitem__, draws))
 
 
 # -- assembled report ------------------------------------------------------------

@@ -226,7 +226,7 @@ class TestExtractSD:
         def no_count(curve):
             raise AssertionError("counted past the budget")
 
-        monkeypatch.setattr(HyperellipticCurve, "_class_runs", no_count)
+        monkeypatch.setattr(HyperellipticCurve, "_class_table", no_count)
         code, out, err = run(capsys, ["extract-sd", "--p", "1009", "--f", "1,3,0,0,0,1",
                                       "--extractor", "sum", "--k", "1", *mode_args])
         assert code == 3 and out == ""

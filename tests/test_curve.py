@@ -842,32 +842,31 @@ class TestEnumeration:
         "p,n", [(3, 1), (7, 1), (31, 1), (67, 1), (3, 2), (5, 2), (3, 3), (3, 4)]
     )
     def test_class_runs_match_enumeration_and_counts(self, p, n):
-        """_class_runs against enumerate_jacobian grouped by u, the two
-        routes to #v(u), and value_counts as the per-value totals of the
-        runs."""
+        """The runs of classes per u that _class_table records, its nonzero
+        entries, against enumerate_jacobian grouped by u: x - x1 at x1,
+        x^2 + a*x + b at q + b*q + a, in enumeration order; and
+        value_counts as the per-value totals of the table."""
         K = finite_field(p, n)
-        for seed in range(3 if K.q < 50 else 1):
+        q = K.q
+        for seed in range(3 if q < 50 else 1):
             curve = seeded_quintic(K, 500 * p + 10 * n + seed)
-            runs = list(curve._class_runs())
+            table = curve._class_table()
+            assert len(table) == q * q + q
             J = curve.enumerate_jacobian()
             by_u = itertools.groupby(J[1:], key=lambda D: D.u.coeffs)
-            grouped = [(len(list(g)), u) for u, g in by_u]
-            assert [
-                (m, (u0, 1) if u1 is None else (u0, u1, 1)) for _, m, u0, u1 in runs
-            ] == grouped, (p, n, curve.f)
-            # contiguous from index 1, ending at |J|
-            ends = [1] + [first + m for first, m, _, _ in runs]
-            assert [first for first, _, _, _ in runs] == ends[:-1]
+            grouped = [(u, len(list(g))) for u, g in by_u]
+            runs = [
+                ((K.neg(i), 1) if i < q else ((i - q) // q, (i - q) % q, 1), m)
+                for i, m in enumerate(table) if m
+            ]
+            assert runs == grouped, (p, n, curve.f)
             counted = curve.value_counts()
-            assert ends[-1] == counted.order
-            sums, products = [0] * K.q, [0] * K.q
-            for _, m, u0, u1 in runs:
-                if u1 is None:
-                    sums[K.neg(u0)] += m
-                    products[K.neg(u0)] += m
-                else:
-                    sums[K.neg(u1)] += m
-                    products[u0] += m
+            assert 1 + sum(table) == counted.order == len(J)
+            sums, products = list(table[:q]), list(table[:q])
+            for i in range(q, len(table)):
+                b, a = divmod(i - q, q)
+                sums[K.neg(a)] += table[i]
+                products[b] += table[i]
             assert list(counted.sums) == sums and list(counted.products) == products
 
     def test_counting_builds_no_divisor(self, F11):
@@ -905,6 +904,17 @@ class TestEnumeration:
         for curve in (c7, c9, c11, c13, c27):
             lo, hi = curve.weil_interval()
             assert lo <= curve.jacobian_order() <= hi
+
+    @pytest.mark.parametrize("p, n, lo, hi", [
+        (7, 2, 6**4, 8**4),
+        (1014817, 1, 1025770397855, 1033948866929),
+        (3, 17, 16671312286781173, 16683052662233923),
+    ])
+    def test_weil_interval_is_exact(self, p, n, lo, hi):
+        """floor((sqrt(q) - 1)^4) and ceil((sqrt(q) + 1)^4) exactly: rounded
+        floats gave hi one short at p = 1014817 and lo one over at 3^17."""
+        K = finite_field(p, n)
+        assert HyperellipticCurve(K, find_squarefree_quintic(K)).weil_interval() == (lo, hi)
 
 
 class TestGroupLaws:

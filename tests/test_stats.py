@@ -93,7 +93,8 @@ class TestRandomSource:
         assert RandomSource(seed).below(1 << 64, len(published)) == published
 
     @pytest.mark.parametrize("n", [1, 11, 855982, 3 << 62, 1 << 64])
-    @pytest.mark.parametrize("count", [0, 1, 1000, 2500])
+    # 1024 raw draws a pass: the lane constants change with k at 1023, 1024 and 1025
+    @pytest.mark.parametrize("count", [0, 1, 1000, 1023, 1024, 1025, 2048, 2049, 2500])
     def test_below_is_count_single_draws(self, n, count):
         """below mixes up to 1024 raw draws per pass; the draws, the
         rejections and the state left behind are those of the textbook
@@ -402,21 +403,40 @@ class TestCountedTally:
             exact_output_distribution(curve, kind, 1)
         assert curve._jacobian is None and curve._counts is not None
 
+    @staticmethod
+    def count_table_builds(monkeypatch):
+        builds = []
+        class_table = HyperellipticCurve._class_table
+
+        def counting_table(self):
+            if self._table is None:
+                builds.append(self)
+            return class_table(self)
+
+        monkeypatch.setattr(HyperellipticCurve, "_class_table", counting_table)
+        return builds
+
     def test_one_counting_pass_per_curve(self, monkeypatch):
         curve = fresh_curve(11, 1, "1,1,0,0,0,1")
-        walks = []
-        class_runs = HyperellipticCurve._class_runs
-
-        def counting_runs(self):
-            walks.append(self)
-            return class_runs(self)
-
-        monkeypatch.setattr(HyperellipticCurve, "_class_runs", counting_runs)
+        builds = self.count_table_builds(monkeypatch)
         for kind in ExtractorKind:
             for k in range(1, max_k(kind, curve.field) + 1):
                 exact_output_distribution(curve, kind, k)
         # one walk over the u, shared by every (kind, k)
-        assert walks == [curve]
+        assert builds == [curve]
+
+    @pytest.mark.parametrize("first", ["exact", "montecarlo"])
+    def test_exact_and_monte_carlo_share_one_table(self, monkeypatch, first):
+        curve = fresh_curve(13, 1, "1,2,0,0,0,1")
+        builds = self.count_table_builds(monkeypatch)
+        tallies = [
+            lambda kind: exact_output_distribution(curve, kind, 1),
+            lambda kind: monte_carlo_distribution(curve, kind, 1, 50, 3),
+        ]
+        for tally in tallies if first == "exact" else tallies[::-1]:
+            for kind in ExtractorKind:
+                tally(kind)
+        assert builds == [curve]
 
     def test_errors_as_before_and_no_count(self):
         curve = fresh_curve(7, 1, "1,0,0,0,0,1")
