@@ -10,14 +10,7 @@ from .curve import (
     MumfordDivisor,
     find_squarefree_quintic,
 )
-from .extractors import (
-    ExtractorKind,
-    extract,
-    extract_prod,
-    extract_prod_bits,
-    extract_sum,
-    extract_sum_bits,
-)
+from .extractors import ExtractorKind, extract
 from .field import FiniteField, find_irreducible, finite_field, is_prime
 from .poly import Poly
 from .stats import RandomSource, Tally
@@ -32,10 +25,6 @@ __all__ = [
     "RandomSource",
     "Tally",
     "extract",
-    "extract_prod",
-    "extract_prod_bits",
-    "extract_sum",
-    "extract_sum_bits",
     "find_irreducible",
     "find_squarefree_quintic",
     "finite_field",

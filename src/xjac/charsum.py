@@ -118,24 +118,34 @@ def _poly_values(field: FiniteField, coeffs: tuple[int, ...]) -> tuple[int, ...]
     return tuple(raw_eval(field, coeffs, x) for x in range(field.q))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
+def _psi_tables(field: FiniteField) -> list[tuple[complex, ...] | None]:
+    """psi_a(x) for every x in F_q, one slot per a filled on first use by
+    _psi_table, kept for the last field: the mordell rows run every a per
+    P, a cycle of q - 1 keys that a bounded LRU on (field, a) would miss
+    on every call once q - 1 exceeded its size."""
+    return [None] * field.q
+
+
 def _psi_table(field: FiniteField, a: int) -> tuple[complex, ...]:
-    """psi_a(x) for every x in F_q: the mordell rows run every a per P."""
+    """Build and keep slot a of _psi_tables(field)."""
     p, roots = field.p, _unit_roots(field.p)
-    return tuple(roots[t % p] for t in _digit_dots(p, Character(field, a)._trace_axi))
+    table = tuple(roots[t % p] for t in _digit_dots(p, Character(field, a)._trace_axi))
+    _psi_tables(field)[a] = table
+    return table
 
 
 def poly_char_sum_value(field: FiniteField, P: Poly, a: int = 1) -> complex:
     """sum_x psi_a(P(x)) as a bare complex number, any a (including 0)."""
     if P.field != field:
         raise FieldMismatchError(f"P is over {P.field!r}, not {field!r}")
-    field._check(a)  # before the cache, whose key has True == 1
+    field._check(a)  # before the tables, where True would index a = 1
     return _poly_char_sum_raw(field, P.coeffs, a)
 
 
 def _poly_char_sum_raw(field: FiniteField, coeffs: tuple[int, ...], a: int) -> complex:
     """poly_char_sum_value after its checks, which its callers have made."""
-    psi = _psi_table(field, a)
+    psi = _psi_tables(field)[a] or _psi_table(field, a)
     s = 0j
     for v in _poly_values(field, coeffs):
         s += psi[v]

@@ -14,8 +14,8 @@ Timing and cache-hit information goes to stderr only; the enumeration
 cache serves jacobian alone, and extract-sd and sweep never touch it.
 The work cap --budget is judged here alone, before any work or cache
 lookup, on each command's estimate: (sqrt(q) + 1)^4 classes for
-jacobian, extract-sd and each sweep curve, the character evaluations for
-charsum.
+jacobian, extract-sd and each sweep curve, and also the sample count for
+a Monte-Carlo extract-sd, the character evaluations for charsum.
 Exit codes:
 0 success (warnings allowed), 1 a jacobian row whose status is fail or a
 charsum row whose status is not pass (the rows are still written),
@@ -43,7 +43,7 @@ from .charsum import (
 )
 from .curve import HyperellipticCurve
 from .errors import BudgetExceededError, ConfigError, NotSquarefreeError
-from .extractors import ExtractorKind, max_k
+from .extractors import ExtractorKind, outcome_count
 from .field import FiniteField, finite_field, is_prime
 from .poly import Poly
 from .stats import (
@@ -168,14 +168,6 @@ def _extractor_kind(name) -> ExtractorKind:
         return ExtractorKind.from_name(str(name))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _check_extractor_fits(kind: ExtractorKind, field: FiniteField, k: int) -> None:
-    if kind.is_bitwise and field.n != 1:
-        raise ConfigError(f"extractor {kind.value} needs a prime field, got n = {field.n}")
-    top = max_k(kind, field)
-    if not 1 <= k <= top:
-        raise ConfigError(f"k = {k} out of range for {kind.value}: need 1 <= k <= {top}")
 
 
 def _require_budget(what: str, est: int, budget: int) -> None:
@@ -427,7 +419,7 @@ def cmd_extract_sd(args: argparse.Namespace) -> int:
     curve = HyperellipticCurve(field, str(_require(cfg, "f")))
     kind = _extractor_kind(_require(cfg, "extractor"))
     k = _as_int(cfg, "k", required=True)
-    _check_extractor_fits(kind, field, k)
+    outcome_count(kind, field, k)  # raises when (kind, k) does not fit the field
     mode = cfg.get("mode") or "exact"
     if mode not in ("exact", "montecarlo"):
         raise ConfigError(f"mode must be exact or montecarlo, got {mode!r}")
@@ -438,6 +430,9 @@ def cmd_extract_sd(args: argparse.Namespace) -> int:
     if mode == "exact":
         samples = seed = None
     _require_budget(_CLASSES, curve.weil_interval()[1], budget)
+    if mode == "montecarlo":
+        # one Python int per draw is held until the tally
+        _require_budget("montecarlo mode draws {} samples", samples, budget)
 
     t0 = time.perf_counter()
     how = "tally = counted" if mode == "exact" else "tally = sampled"
@@ -622,7 +617,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for field in fields:
         for kind in kinds:
             for k in ks:
-                _check_extractor_fits(kind, field, k)
+                outcome_count(kind, field, k)
 
     t0 = time.perf_counter()
     rows: list[dict] = []

@@ -448,7 +448,7 @@ class HyperellipticCurve:
 
     def neg(self, D: MumfordDivisor) -> MumfordDivisor:
         self._require_valid(D)
-        return MumfordDivisor(D.u, -D.v)
+        return MumfordDivisor(D.u, D.v._wrap(raw_neg(self.field, D.v.coeffs)))
 
     def scalar_mul(self, D: MumfordDivisor, m: int) -> MumfordDivisor:
         """m*D, right to left over the non-adjacent form (NAF) of m: signed

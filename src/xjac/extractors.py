@@ -6,9 +6,11 @@ coefficients off the representative gives well-defined "sum of x" /
 "product of x" maps.  Weight-1 divisors [x + u0, v] contribute their
 single x-coordinate -u0 to both maps, and the neutral class maps to 0.
 
-Two output alphabets are supported: the first k coordinates of the
-value in the power basis (a vector in F_p^k, any field), and the k
-least-significant bits of the residue (prime fields only).
+An extractor reads that value val as its integer encoding, whose base-p
+digits are its coordinates in the power basis, and outputs the k low
+digits of val mod m: base p with m = p^k (the first k coordinates, any
+field) or base 2 with m = 2^k (the k low bits, prime fields only).
+outcome_count alone decides which (kind, k) fit a field.
 """
 
 from __future__ import annotations
@@ -40,31 +42,10 @@ class ExtractorKind(Enum):
             valid = ", ".join(k.value for k in cls)
             raise ValueError(f"unknown extractor {name!r}; expected one of {valid}")
 
-    @property
-    def is_bitwise(self) -> bool:
-        return self in (ExtractorKind.SK, ExtractorKind.PK)
-
-    @property
-    def uses_product(self) -> bool:
-        return self in (ExtractorKind.PROD, ExtractorKind.PK)
-
-
-def coord_prefix(field: FiniteField, e: int, k: int) -> tuple[int, ...]:
-    """First k coordinates of e in the power basis, low index first."""
-    if type(k) is not int or not 1 <= k <= field.n:
-        raise KOutOfRangeError(f"k must be in [1, {field.n}], got {k!r}")
-    return field.coords(e)[:k]
-
-
-def low_bits(p: int, r: int, k: int) -> tuple[int, ...]:
-    """k least-significant bits of the residue r in [0, p), LSB first.
-
-    Requires 2**k <= p so that every output pattern is reachable."""
-    if type(k) is not int or k < 1 or 2**k > p:
-        raise KOutOfRangeError(f"k must satisfy 1 <= k and 2**k <= p={p}, got {k!r}")
-    if type(r) is not int or not 0 <= r < p:
-        raise KOutOfRangeError(f"residue {r!r} is not in [0, {p})")
-    return tuple((r >> i) & 1 for i in range(k))
+    def __init__(self, value: str):
+        # plain attributes: extract reads them on every call
+        self.is_bitwise = value in ("sk", "pk")
+        self.uses_product = value in ("prod", "pk")
 
 
 def max_k(kind: ExtractorKind, field: FiniteField) -> int:
@@ -88,49 +69,39 @@ def _scalar_value(curve: HyperellipticCurve, D: MumfordDivisor, product: bool) -
     return D.u.coeff(0) if product else K._neg(D.u.coeff(1))
 
 
+def outcome_count(kind: ExtractorKind, field: FiniteField, k: int) -> int:
+    """Size m of the output space, p**k digit vectors or 2**k bit strings,
+    once (kind, k) is checked against the field: the one place that
+    decides whether an extractor fits."""
+    if kind.is_bitwise and field.n != 1:
+        raise RequiresPrimeFieldError(
+            f"{kind.value} is defined over prime fields only, "
+            f"field has degree {field.n}"
+        )
+    top = max_k(kind, field)
+    if type(k) is not int or not 1 <= k <= top:
+        raise KOutOfRangeError(
+            f"k must be in [1, {top}] for {kind.value} over F_{field.q}, got {k!r}"
+        )
+    return 2**k if kind.is_bitwise else field.p**k
+
+
 def extract(
     curve: HyperellipticCurve, D: MumfordDivisor, kind: ExtractorKind, k: int
 ) -> tuple[int, ...]:
-    """Apply an extractor; returns a length-k tuple of digits or bits."""
-    return value_output(curve.field, kind, _scalar_value(curve, D, kind.uses_product), k)
-
-
-def value_output(field: FiniteField, kind: ExtractorKind, val: int, k: int) -> tuple[int, ...]:
-    """The extractor's output for a class whose sum or product of
-    abscissas (as kind reads it) is val."""
-    if kind.is_bitwise:
-        if field.n != 1:
-            raise RequiresPrimeFieldError(
-                f"{kind.value} is defined over prime fields only, "
-                f"field has degree {field.n}"
-            )
-        return low_bits(field.p, val, k)
-    return coord_prefix(field, val, k)
-
-
-def extract_sum(curve: HyperellipticCurve, D: MumfordDivisor, k: int) -> tuple[int, ...]:
-    """First k coordinates of the x-coordinate sum of the support."""
-    return extract(curve, D, ExtractorKind.SUM, k)
-
-
-def extract_prod(curve: HyperellipticCurve, D: MumfordDivisor, k: int) -> tuple[int, ...]:
-    """First k coordinates of the x-coordinate product of the support."""
-    return extract(curve, D, ExtractorKind.PROD, k)
-
-
-def extract_sum_bits(curve: HyperellipticCurve, D: MumfordDivisor, k: int) -> tuple[int, ...]:
-    """k low-order bits, LSB first, of the x-coordinate sum (prime fields)."""
-    return extract(curve, D, ExtractorKind.SK, k)
-
-
-def extract_prod_bits(curve: HyperellipticCurve, D: MumfordDivisor, k: int) -> tuple[int, ...]:
-    """k low-order bits, LSB first, of the x-coordinate product (prime fields)."""
-    return extract(curve, D, ExtractorKind.PK, k)
-
-
-def outcome_count(kind: ExtractorKind, field: FiniteField, k: int) -> int:
-    """Size of the output space: p**k digit vectors or 2**k bit strings."""
-    return 2**k if kind.is_bitwise else field.p**k
+    """Apply an extractor: the k low digits, low first, of val mod m, where
+    val is the sum or product of D's abscissas as an integer encoding and
+    m = outcome_count(kind, field, k).  In base p these are the first k
+    coordinates of val in the power basis; in base 2 (prime fields only)
+    the k low bits of the residue."""
+    m = outcome_count(kind, curve.field, k)
+    val = _scalar_value(curve, D, kind.uses_product) % m
+    radix = 2 if kind.is_bitwise else curve.field.p
+    out = []
+    for _ in range(k):
+        val, d = divmod(val, radix)
+        out.append(d)
+    return tuple(out)
 
 
 def outcome_index(kind: ExtractorKind, p: int, out: tuple[int, ...]) -> int:

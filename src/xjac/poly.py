@@ -1,17 +1,18 @@
 """Univariate polynomials over a FiniteField.
 
-Coefficients are stored low-degree-first; "1,0,0,0,0,1" is x^5 + 1.  The
-module has two layers: raw_* kernels that work on plain lists of element
-encodings (no allocation beyond the lists themselves, used by the curve
-arithmetic inner loops) and the immutable Poly wrapper that most callers
-and all tests use.
+Coefficients are stored low-degree-first; "1,0,0,0,0,1" is x^5 + 1.  All
+arithmetic is in the raw_* kernels, which work on plain lists of element
+encodings (no allocation beyond the lists themselves).  Poly is only the
+immutable value type that curves, divisors and reports hold: it parses,
+prints, compares, evaluates and tests squarefreeness, and a caller that
+computes with one passes its coeffs to the kernels and wraps the result.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BothZeroError, FieldMismatchError, NonElementError
+from .errors import BothZeroError, NonElementError
 from .field import FiniteField
 
 Raw = list  # low-degree-first list of element encodings, no trailing zeros
@@ -182,14 +183,6 @@ class Poly:
         return cls(field, (1,))
 
     @classmethod
-    def x(cls, field: FiniteField) -> "Poly":
-        return cls(field, (0, 1))
-
-    @classmethod
-    def constant(cls, field: FiniteField, c) -> "Poly":
-        return cls(field, (c,))
-
-    @classmethod
     def from_string(cls, field: FiniteField, text: str) -> "Poly":
         """Parse the comma form, e.g. "1,0,0,0,0,1" -> x^5 + 1."""
         toks = [t.strip() for t in text.split(",")]
@@ -222,116 +215,16 @@ class Poly:
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    @property
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def _coerce(self, other) -> "Poly | None":
-        if isinstance(other, Poly):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"polynomials over different fields: "
-                    f"{self.field!r} vs {other.field!r}"
-                )
-            return other
-        if isinstance(other, int):
-            return Poly(self.field, (other,))
-        return None
-
     def _wrap(self, raw: Sequence[int]) -> "Poly":
         out = object.__new__(Poly)
         object.__setattr__(out, "field", self.field)
         object.__setattr__(out, "coeffs", tuple(raw))
         return out
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(raw_add(self.field, self.coeffs, o.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(raw_sub(self.field, self.coeffs, o.coeffs))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(raw_sub(self.field, o.coeffs, self.coeffs))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(raw_mul(self.field, self.coeffs, o.coeffs))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._wrap(raw_neg(self.field, self.coeffs))
-
-    def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        q, r = raw_divmod(self.field, self.coeffs, o.coeffs)
-        return self._wrap(q), self._wrap(r)
-
-    def __floordiv__(self, other):
-        res = self.__divmod__(other)
-        return res[0] if res is not NotImplemented else NotImplemented
-
-    def __mod__(self, other):
-        res = self.__divmod__(other)
-        return res[1] if res is not NotImplemented else NotImplemented
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        acc = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc
-
     def __call__(self, x: int) -> int:
         """Evaluate at the element encoding x."""
         self.field._check(x)
         return raw_eval(self.field, self.coeffs, x)
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            raise ValueError("zero polynomial has no monic associate")
-        return self._wrap(raw_monic(self.field, self.coeffs))
-
-    def derivative(self) -> "Poly":
-        return self._wrap(raw_derivative(self.field, self.coeffs))
-
-    def gcd(self, other: "Poly") -> "Poly":
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot take gcd with {other!r}")
-        return self._wrap(raw_gcd(self.field, self.coeffs, o.coeffs))
-
-    def xgcd(self, other: "Poly") -> tuple["Poly", "Poly", "Poly"]:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot take xgcd with {other!r}")
-        g, s, t = raw_xgcd(self.field, self.coeffs, o.coeffs)
-        return self._wrap(g), self._wrap(s), self._wrap(t)
 
     def is_squarefree(self) -> bool:
         """True when gcd(f, f') is constant; the zero polynomial is not

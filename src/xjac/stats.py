@@ -240,10 +240,10 @@ def exact_output_distribution(
     sum or product of its abscissas, so the tally adds up
     curve.value_counts() (#v per u, Cantor 1987) per value, O(q + m) per
     (kind, k) once the curve's one O(q^2) counting pass has run.  A value
-    val lands on outcome val % m: its first k base-p digits (coordinates
-    in the power basis, low first) or its k low bits.  The neutral class
-    goes through extract itself, which also rejects a kind or k that does
-    not fit the field before any counting."""
+    val lands on outcome val % m, whose digits are extract's output by
+    its definition.  The neutral class goes through extract itself, which
+    also rejects a kind or k that does not fit the field (outcome_count)
+    before any counting."""
     field = curve.field
     counts = {outcome_index(kind, field.p, extract(curve, curve.zero(), kind, k)): 1}
     m = outcome_count(kind, field, k)
@@ -322,8 +322,8 @@ def sd_report(
     sd_e = statistical_distance_exact(tally)
     col_e = collision_probability_exact(tally)
     sd = float(sd_e)
-    bc = sd_bound_coords(p, n, k) if (not kind.is_bitwise and k <= n) else None
-    bb = sd_bound_bits(p, k) if (kind.is_bitwise and n == 1 and 2**k <= p) else None
+    bc = None if kind.is_bitwise else sd_bound_coords(p, n, k)
+    bb = sd_bound_bits(p, k) if kind.is_bitwise else None
     env = acceptance_envelope(kind, p, n, k)
     return SDReport(
         extractor=kind.value,

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from xjac import charsum
 from xjac.charsum import (
     AdditiveSubgroup,
     Character,
@@ -231,12 +232,30 @@ class TestPolySums:
                 assert poly_char_sum_value(K, P, a) == want, (P.coeffs, a)
 
     def test_value_rejects_bool_and_q_after_caching_a_1(self, F7):
-        # the psi tables are cached per (field, a), and True == 1 as a key
+        # the psi tables are kept per a, and True would index a = 1
         P = Poly(F7, (0, 0, 1))
         poly_char_sum_value(F7, P, 1)
         for a in (True, F7.q):
             with pytest.raises(NonElementError):
                 poly_char_sum_value(F7, P, a)
+
+    def test_psi_tables_built_once_per_a(self, monkeypatch):
+        """The mordell rows ask for a = 1, ..., q - 1 per polynomial, a
+        cycle longer than any small LRU; each table is built once."""
+        K = finite_field(67)
+        builds = []
+        digit_dots = charsum._digit_dots
+
+        def counting_digit_dots(p, coeffs):
+            builds.append(coeffs)
+            return digit_dots(p, coeffs)
+
+        monkeypatch.setattr(charsum, "_digit_dots", counting_digit_dots)
+        charsum._psi_tables.cache_clear()
+        for P in (Poly(K, (0, 0, 1)), Poly(K, (1, 2, 1))):
+            for a in range(1, K.q):
+                poly_char_sum(K, P, a)
+        assert len(builds) == K.q - 1 == 66
 
     def test_value_allows_trivial_character(self, F7):
         v = poly_char_sum_value(F7, Poly(F7, (0, 0, 1)), 0)

@@ -232,6 +232,31 @@ class TestExtractSD:
         assert code == 3 and out == ""
         assert err == "error: Jacobian may hold up to 1152466 classes, budget is 1000000\n"
 
+    @pytest.mark.parametrize("samples, budget", [
+        ("1000001", []), ("500", ["--budget", "499"]),
+    ], ids=["default-budget", "explicit-budget"])
+    def test_samples_over_budget_exits_3(self, capsys, monkeypatch, samples, budget):
+        """Monte-Carlo holds one int per draw, so the sample count is
+        charged too, before any count or draw (p = 7 has at most 177
+        classes, under both budgets)."""
+        def fail(*_):
+            raise AssertionError("counted or drew past the budget")
+
+        monkeypatch.setattr(HyperellipticCurve, "_class_table", fail)
+        monkeypatch.setattr(RandomSource, "below", fail)
+        code, out, err = run(capsys, ["extract-sd", *F7_ARGS, "--extractor", "sum", "--k", "1",
+                                      "--mode", "montecarlo", "--samples", samples,
+                                      "--seed", "1", *budget])
+        limit = budget[1] if budget else "1000000"
+        assert code == 3 and out == ""
+        assert err == f"error: montecarlo mode draws {samples} samples, budget is {limit}\n"
+
+    def test_samples_at_budget_run(self, capsys):
+        argv = ["extract-sd", *F7_ARGS, "--extractor", "sum", "--k", "1",
+                "--mode", "montecarlo", "--samples", "500", "--seed", "1", "--budget", "500"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and rows_of(out)[0]["samples"] == "500"
+
 
 class TestCharsum:
     def test_interval_golden(self, capsys):

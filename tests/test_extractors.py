@@ -10,13 +10,7 @@ from xjac.errors import (
 )
 from xjac.extractors import (
     ExtractorKind,
-    coord_prefix,
     extract,
-    extract_prod,
-    extract_prod_bits,
-    extract_sum,
-    extract_sum_bits,
-    low_bits,
     max_k,
     outcome_count,
     outcome_index,
@@ -34,26 +28,34 @@ def test_kind_parsing():
     assert ExtractorKind.PROD.uses_product and not ExtractorKind.SK.uses_product
 
 
-def test_coord_prefix():
-    K = finite_field(3, 3)
-    e = K.from_coords((2, 1, 0))
-    assert coord_prefix(K, e, 1) == (2,)
-    assert coord_prefix(K, e, 2) == (2, 1)
-    assert coord_prefix(K, e, 3) == (2, 1, 0)
-    with pytest.raises(KOutOfRangeError):
-        coord_prefix(K, e, 0)
-    with pytest.raises(KOutOfRangeError):
-        coord_prefix(K, e, 4)
+SUM, PROD, SK, PK = ExtractorKind
 
 
-def test_low_bits_lsb_first():
-    assert low_bits(7, 5, 2) == (1, 0)     # 5 = 0b101
-    assert low_bits(7, 6, 2) == (0, 1)
-    assert low_bits(13, 11, 3) == (1, 1, 0)
+def class_with_sum(curve, e):
+    """Some class whose abscissas sum to e."""
+    K = curve.field
+    return next(D for D in curve.enumerate_jacobian()
+                if D.weight and K.neg(D.u.coeff(D.weight - 1)) == e)
+
+
+def test_coord_prefix(c27):
+    K = c27.field
+    D = class_with_sum(c27, K.from_coords((2, 1, 0)))
+    assert extract(c27, D, SUM, 1) == (2,)
+    assert extract(c27, D, SUM, 2) == (2, 1)
+    assert extract(c27, D, SUM, 3) == (2, 1, 0)
     with pytest.raises(KOutOfRangeError):
-        low_bits(7, 1, 3)                  # 2^3 > 7
+        extract(c27, D, SUM, 0)
     with pytest.raises(KOutOfRangeError):
-        low_bits(7, 9, 1)                  # residue out of range
+        extract(c27, D, SUM, 4)
+
+
+def test_low_bits_lsb_first(c7, c13):
+    assert extract(c7, class_with_sum(c7, 5), SK, 2) == (1, 0)     # 5 = 0b101
+    assert extract(c7, class_with_sum(c7, 6), SK, 2) == (0, 1)
+    assert extract(c13, class_with_sum(c13, 11), SK, 3) == (1, 1, 0)
+    with pytest.raises(KOutOfRangeError):
+        extract(c7, class_with_sum(c7, 1), SK, 3)                  # 2^3 > 7
 
 
 def test_max_k():
@@ -68,16 +70,16 @@ class TestDivisorValues:
         D = c7.cantor_add(
             c7.divisor_from_point((0, 1)), c7.divisor_from_point((1, 3))
         )
-        assert extract_sum(c7, D, 1) == (1,)
-        assert extract_prod(c7, D, 1) == (0,)
-        assert extract_sum_bits(c7, D, 1) == (1,)
-        assert extract_prod_bits(c7, D, 1) == (0,)
+        assert extract(c7, D, SUM, 1) == (1,)
+        assert extract(c7, D, PROD, 1) == (0,)
+        assert extract(c7, D, SK, 1) == (1,)
+        assert extract(c7, D, PK, 1) == (0,)
 
     def test_weight1(self, c7):
         D = c7.divisor_from_point((5, 2))
-        assert extract_sum(c7, D, 1) == (5,)
-        assert extract_prod(c7, D, 1) == (5,)
-        assert extract_sum_bits(c7, D, 2) == (1, 0)   # 5 = 0b101, LSB first
+        assert extract(c7, D, SUM, 1) == (5,)
+        assert extract(c7, D, PROD, 1) == (5,)
+        assert extract(c7, D, SK, 2) == (1, 0)   # 5 = 0b101, LSB first
 
     def test_weight0(self, c7):
         Z = c7.zero()
@@ -95,16 +97,16 @@ class TestDivisorValues:
                 )
                 if D.weight != 2:
                     continue   # opposite points cancel
-                assert extract_sum(c7, D, 1) == (K.add(P.x, Q.x),)
-                assert extract_prod(c7, D, 1) == (K.mul(P.x, Q.x),)
+                assert extract(c7, D, SUM, 1) == (K.add(P.x, Q.x),)
+                assert extract(c7, D, PROD, 1) == (K.mul(P.x, Q.x),)
 
     def test_extension_truncation_chain(self, c27):
         # k = n returns the full coordinate vector; smaller k prefixes it
         K = c27.field
         D = c27.enumerate_jacobian()[40]
-        full = extract_sum(c27, D, 3)
-        assert extract_sum(c27, D, 1) == full[:1]
-        assert extract_sum(c27, D, 2) == full[:2]
+        full = extract(c27, D, SUM, 3)
+        assert extract(c27, D, SUM, 1) == full[:1]
+        assert extract(c27, D, SUM, 2) == full[:2]
         values = K.from_coords(full)
         assert values == K.neg(D.u.coeff(1))
 
@@ -119,39 +121,34 @@ class TestErrors:
     def test_bitwise_requires_prime_field(self, c9):
         D = c9.zero()
         with pytest.raises(RequiresPrimeFieldError):
-            extract_sum_bits(c9, D, 1)
+            extract(c9, D, SK, 1)
         with pytest.raises(RequiresPrimeFieldError):
-            extract_prod_bits(c9, D, 1)
+            extract(c9, D, PK, 1)
 
     def test_k_out_of_range(self, c7):
         D = c7.zero()
         with pytest.raises(KOutOfRangeError):
-            extract_sum(c7, D, 2)     # n = 1
+            extract(c7, D, SUM, 2)     # n = 1
         with pytest.raises(KOutOfRangeError):
-            extract_sum_bits(c7, D, 3)  # 2^3 > 7
+            extract(c7, D, SK, 3)      # 2^3 > 7
 
     @pytest.mark.parametrize("k", [True, False, 1.0])
     def test_k_must_be_an_int(self, c7, c9, k):
         for kind in ExtractorKind:
             with pytest.raises(KOutOfRangeError):
                 extract(c7, c7.zero(), kind, k)
+            with pytest.raises(KOutOfRangeError):
+                outcome_count(kind, c7.field, k)
         with pytest.raises(KOutOfRangeError):
-            coord_prefix(c9.field, 0, k)
-        with pytest.raises(KOutOfRangeError):
-            low_bits(7, 0, k)
-
-    @pytest.mark.parametrize("r", [True, False, 1.0])
-    def test_residue_must_be_an_int(self, r):
-        with pytest.raises(KOutOfRangeError):
-            low_bits(7, r, 1)
+            extract(c9, c9.zero(), SUM, k)
 
     def test_foreign_divisor_rejected(self, c7, F11):
         ghost = MumfordDivisor(Poly(F11, (0, 1)), Poly(F11, (1,)))
         with pytest.raises(InvalidDivisorError):
-            extract_sum(c7, ghost, 1)
+            extract(c7, ghost, SUM, 1)
         off_curve = MumfordDivisor(Poly(c7.field, (1, 0, 1)), Poly.zero(c7.field))
         with pytest.raises(InvalidDivisorError):
-            extract_sum(c7, off_curve, 1)
+            extract(c7, off_curve, SUM, 1)
 
 
 def test_outcome_indexing_roundtrip():
@@ -168,3 +165,22 @@ def test_outcome_indexing_roundtrip():
         for d1 in range(3):
             seen.add(outcome_index(ExtractorKind.SUM, 3, (d0, d1)))
     assert seen == set(range(9))
+
+
+@pytest.mark.parametrize("p, n", [(7, 1), (3, 3), (13, 1)])
+def test_outcome_count_is_the_one_check(p, n):
+    """outcome_count accepts exactly k in [1, max_k] and rejects a bit
+    kind over an extension field whatever k is."""
+    K = finite_field(p, n)
+    for kind in ExtractorKind:
+        if kind.is_bitwise and n > 1:
+            for k in (0, 1, n, n + 1):
+                with pytest.raises(RequiresPrimeFieldError):
+                    outcome_count(kind, K, k)
+            continue
+        top = max_k(kind, K)
+        for k in (0, top + 1):
+            with pytest.raises(KOutOfRangeError):
+                outcome_count(kind, K, k)
+        for k in range(1, top + 1):
+            assert outcome_count(kind, K, k) == (2**k if kind.is_bitwise else p**k)

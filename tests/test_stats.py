@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xjac import stats
+from xjac import extractors, stats
 from xjac.curve import HyperellipticCurve
 from xjac.errors import KOutOfRangeError, RequiresPrimeFieldError
 from xjac.extractors import (
@@ -17,7 +17,6 @@ from xjac.extractors import (
     max_k,
     outcome_count,
     outcome_index,
-    value_output,
 )
 from xjac.field import finite_field
 from xjac.stats import (
@@ -455,17 +454,27 @@ class TestCountedTally:
         assert curve._jacobian is None and ext._jacobian is None
 
     @pytest.mark.parametrize("p, n", [(7, 1), (31, 1), (3, 4), (5, 2), (3, 5)])
-    def test_outcome_is_value_mod_m(self, p, n):
+    def test_outcome_is_value_mod_m(self, monkeypatch, p, n):
         """Both tallies put a class whose sum or product is val on outcome
-        val % m: the index of its first k base-p digits (coordinates, low
-        first) or of its k low bits (LSB first)."""
+        val % m, and extract outputs the digits of val % m: against a
+        reference, its first k coordinates (sum, prod) or its k low bits,
+        LSB first (sk, pk), for every val and every admissible (kind, k)."""
         K = finite_field(p, n)
+        curve = HyperellipticCurve(K, "0,1,0,0,0,1")  # x^5 + x
         kinds = [kind for kind in ExtractorKind if n == 1 or not kind.is_bitwise]
-        for kind in kinds:
-            for k in range(1, max_k(kind, K) + 1):
-                m = outcome_count(kind, K, k)
-                for val in range(K.q):
-                    assert outcome_index(kind, p, value_output(K, kind, val, k)) == val % m
+        for val in range(K.q):
+            # extract reads val off any class as its sum or product
+            monkeypatch.setattr(extractors, "_scalar_value", lambda *_: val)
+            for kind in kinds:
+                for k in range(1, max_k(kind, K) + 1):
+                    if kind.is_bitwise:
+                        want = tuple((val >> i) & 1 for i in range(k))
+                    else:
+                        want = K.coords(val)[:k]
+                    got = extract(curve, curve.zero(), kind, k)
+                    assert got == want, (val, kind, k)
+                    m = outcome_count(kind, K, k)
+                    assert outcome_index(kind, p, got) == val % m
 
 
 class TestSDReport:
