@@ -71,10 +71,6 @@ class Character:
             for i in range(field.n)
         )
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.a == 0
-
     def __call__(self, x: int) -> complex:
         self.field._check(x)
         return self._eval(x)
@@ -135,16 +131,9 @@ def _psi_table(field: FiniteField, a: int) -> tuple[complex, ...]:
     return table
 
 
-def poly_char_sum_value(field: FiniteField, P: Poly, a: int = 1) -> complex:
-    """sum_x psi_a(P(x)) as a bare complex number, any a (including 0)."""
-    if P.field != field:
-        raise FieldMismatchError(f"P is over {P.field!r}, not {field!r}")
-    field._check(a)  # before the tables, where True would index a = 1
-    return _poly_char_sum_raw(field, P.coeffs, a)
-
-
 def _poly_char_sum_raw(field: FiniteField, coeffs: tuple[int, ...], a: int) -> complex:
-    """poly_char_sum_value after its checks, which its callers have made."""
+    """sum_x psi_a(P(x)), P given by its coefficients, for any element a
+    (0 included); the callers check a."""
     psi = _psi_tables(field)[a] or _psi_table(field, a)
     s = 0j
     for v in _poly_values(field, coeffs):
@@ -197,10 +186,6 @@ class AdditiveSubgroup:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def codim(self) -> int:
-        return self.field.n - len(self.basis)
-
     def elements(self) -> tuple[int, ...]:
         """All p^dim encodings in the span, ascending.
 
@@ -213,20 +198,12 @@ class AdditiveSubgroup:
         return f"span{self.basis} in {self.field!r}"
 
 
-def subgroup_elements(field: FiniteField, basis: Iterable[int]) -> tuple[int, ...]:
-    return AdditiveSubgroup(field, basis).elements()
-
-
-def winterhof_sum(
-    field: FiniteField, subgroup: AdditiveSubgroup | Iterable[int]
-) -> CharSumReport:
+def winterhof_sum(field: FiniteField, subgroup: AdditiveSubgroup) -> CharSumReport:
     """T = sum_a |sum_{x in V} psi_1(a x)| over all a in F_q.
 
     T <= q always; for the monomial-basis spans used here duality gives
     equality, which makes the law a sharp self-check."""
-    if not isinstance(subgroup, AdditiveSubgroup):
-        subgroup = AdditiveSubgroup(field, subgroup)
-    elif subgroup.field != field:
+    if subgroup.field != field:
         raise FieldMismatchError("subgroup belongs to a different field")
     q = field.q
     p, n, txk, roots = field.p, field.n, field._trace_powers(), _unit_roots(field.p)

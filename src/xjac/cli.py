@@ -12,10 +12,11 @@ Report bytes depend only on the configuration (including seeds), never on
 cache warmth or wall time, so reruns are byte-identical and diffable.
 Timing and cache-hit information goes to stderr only; the enumeration
 cache serves jacobian alone, and extract-sd and sweep never touch it.
-The work cap --budget is judged here alone, before any work or cache
-lookup, on each command's estimate: (sqrt(q) + 1)^4 classes for
-jacobian, extract-sd and each sweep curve, and also the sample count for
-a Monte-Carlo extract-sd, the character evaluations for charsum.
+Options are validated before any work or cache lookup, and so is the
+work cap --budget, judged here alone on each command's estimate:
+(sqrt(q) + 1)^4 classes for jacobian, extract-sd and each sweep curve,
+and also the sample count for a Monte-Carlo extract-sd, the character
+evaluations for charsum.
 Exit codes:
 0 success (warnings allowed), 1 a jacobian row whose status is fail or a
 charsum row whose status is not pass (the rows are still written),
@@ -29,7 +30,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -95,7 +95,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def merged_config(args: argparse.Namespace) -> dict:
-    """File values first, explicit flags override, env fills cache_dir.
+    """File values first, explicit flags override.
 
     The known keys are the subcommand's own option dests; a null value
     counts as not given."""
@@ -112,8 +112,9 @@ def merged_config(args: argparse.Namespace) -> dict:
     for key in ("out", "cache_dir"):
         if not isinstance(cfg.get(key, ""), str):
             raise ConfigError(f"option {key!r} must be a path string, got {cfg[key]!r}")
-    if "cache_dir" not in cfg:
-        cfg["cache_dir"] = os.environ.get("XJAC_CACHE_DIR") or None
+    fmt = cfg.get("format") or "csv"
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {fmt!r}")
     return cfg
 
 
@@ -276,13 +277,10 @@ def render_json(command: str, columns: list[str], rows: list[dict]) -> str:
 
 
 def emit_report(cfg: dict, command: str, columns: list[str], rows: list[dict]) -> None:
-    fmt = cfg.get("format") or "csv"
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
     text = (
-        render_csv(columns, rows)
-        if fmt == "csv"
-        else render_json(command, columns, rows)
+        render_json(command, columns, rows)
+        if cfg.get("format") == "json"
+        else render_csv(columns, rows)
     )
     out = cfg.get("out")
     if out:
@@ -403,7 +401,7 @@ def _extract_row(
     else:
         tally = monte_carlo_distribution(curve, kind, k, samples, seed)
     order = curve.jacobian_order()
-    rep = sd_report(curve, kind, k, tally, mode=mode, samples=samples, seed=seed)
+    rep = sd_report(curve, kind, k, tally)
     return (
         _extract_cell(command, curve, kind, k, mode, samples, seed)
         | {"jacobian_order": order}
@@ -474,6 +472,8 @@ def cmd_charsum(args: argparse.Namespace) -> int:
         if not is_prime(p):
             raise ConfigError(f"p = {p} is not prime")
         L_single = _as_int(cfg, "L")
+        if L_single is not None and not 1 <= L_single <= p:
+            raise ConfigError(f"L must be in [1, {p}], got {L_single}")
         Ls = [L_single] if L_single is not None else list(range(1, p + 1))
         # the running sums cost p terms per L up to the largest L
         _require_budget(evals, p * max(Ls), budget)
@@ -674,7 +674,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with defaults for any option")
     sub.add_argument("--out", help="write the report here instead of stdout")
     sub.add_argument("--format", choices=["csv", "json"], help="report format (default csv)")
-    sub.add_argument("--cache-dir", dest="cache_dir", help="Jacobian cache directory for jacobian (default $XJAC_CACHE_DIR)")
+    sub.add_argument("--cache-dir", dest="cache_dir", help="Jacobian cache directory for jacobian (default none)")
     sub.add_argument("--budget", type=int, help="work cap before BudgetExceeded (default 10^6)")
 
 

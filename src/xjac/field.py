@@ -132,6 +132,7 @@ class FiniteField:
         "_neg",
         "_inv",
         "_trace_xk",
+        "_hash",
     )
 
     def __init__(self, p: int, n: int = 1, modulus: Sequence[int] | None = None):
@@ -175,6 +176,8 @@ class FiniteField:
         self.q = q
         self.modulus = tuple(mod)
         self._trace_xk = None
+        # every lru_cache keyed on a field hashes it per lookup
+        self._hash = hash((p, n, self.modulus))
         if n == 1:
             self._bind_prime_ops()
         elif q <= _TABLE_LIMIT:
@@ -406,7 +409,7 @@ class FiniteField:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.n, self.modulus))
+        return self._hash
 
     def __repr__(self):
         if self.n == 1:

@@ -50,8 +50,7 @@ def _lanes(k: int) -> tuple[int, int, int]:
 class RandomSource:
     """Deterministic 64-bit stream: splitmix64 over a counter (Steele, Lea
     and Flood, OOPSLA 2014).  below(n, count) draws unbiased from [0, n)
-    by rejection, so a bounded draw may consume several raw draws; skip(k)
-    advances the raw stream by k raw draws."""
+    by rejection, so a bounded draw may consume several raw draws."""
 
     __slots__ = ("seed", "_state")
 
@@ -88,15 +87,6 @@ class RandomSource:
         self._state = s
         return out
 
-    def next_u64(self) -> int:
-        return self.below(1 << 64, 1)[0]
-
-    def next_below(self, n: int) -> int:
-        return self.below(n, 1)[0]
-
-    def skip(self, k: int) -> None:
-        self._state = (self._state + _GAMMA * k) & _MASK64
-
 
 class Tally:
     """Exact outcome counts over a finite outcome space [0, m).
@@ -129,24 +119,10 @@ class Tally:
         """Counts keyed in order of first occurrence, as Counter keeps them."""
         return cls(m, collections.Counter(outcomes))
 
-    def probability(self, idx: int) -> Fraction:
-        return Fraction(self.counts.get(idx, 0), self.total)
-
     def __eq__(self, other):
         if isinstance(other, Tally):
             return self.m == other.m and self.counts == other.counts
         return NotImplemented
-
-    def __add__(self, other):
-        """Merge two tallies over the same outcome space."""
-        if not isinstance(other, Tally):
-            return NotImplemented
-        if self.m != other.m:
-            raise ValueError(f"outcome space mismatch: {self.m} != {other.m}")
-        merged = dict(self.counts)
-        for idx, c in other.counts.items():
-            merged[idx] = merged.get(idx, 0) + c
-        return Tally(self.m, merged)
 
     def __repr__(self):
         return f"Tally(m={self.m}, total={self.total}, counts={self.counts})"
@@ -167,18 +143,10 @@ def statistical_distance_exact(t: Tally) -> Fraction:
     return Fraction(acc, 2 * n * m)
 
 
-def statistical_distance(t: Tally) -> float:
-    return float(statistical_distance_exact(t))
-
-
 def collision_probability_exact(t: Tally) -> Fraction:
     """sum_z Pr[z]^2, exactly."""
     n = t.total
     return Fraction(sum(c * c for c in t.counts.values()), n * n)
-
-
-def collision_probability(t: Tally) -> float:
-    return float(collision_probability_exact(t))
 
 
 def collision_lower_bound(sd: Fraction, m: int) -> Fraction:
@@ -193,11 +161,6 @@ def check_collision_sd_relation(t: Tally) -> bool:
     return collision_probability_exact(t) >= collision_lower_bound(
         statistical_distance_exact(t), t.m
     )
-
-
-def is_delta_uniform(t: Tally, delta) -> bool:
-    """SD <= delta, compared exactly (floats convert losslessly)."""
-    return statistical_distance_exact(t) <= Fraction(delta)
 
 
 # -- closed-form bounds --------------------------------------------------------
@@ -288,14 +251,10 @@ def monte_carlo_distribution(
 
 @dataclass(frozen=True)
 class SDReport:
-    """Everything a result row needs, floats already at reporting precision."""
+    """The statistics of a result row; the row's identity columns (extractor,
+    k, mode, samples, seed) are the caller's."""
 
-    extractor: str
-    k: int
     m: int
-    mode: str
-    samples: int | None
-    seed: int | None
     sd_exact: Fraction
     col_exact: Fraction
     sd: float
@@ -313,9 +272,6 @@ def sd_report(
     kind: ExtractorKind,
     k: int,
     tally: Tally,
-    mode: str = "exact",
-    samples: int | None = None,
-    seed: int | None = None,
 ) -> SDReport:
     p, n = curve.field.p, curve.field.n
     q = curve.field.q
@@ -326,12 +282,7 @@ def sd_report(
     bb = sd_bound_bits(p, k) if kind.is_bitwise else None
     env = acceptance_envelope(kind, p, n, k)
     return SDReport(
-        extractor=kind.value,
-        k=k,
         m=tally.m,
-        mode=mode,
-        samples=samples,
-        seed=seed,
         sd_exact=sd_e,
         col_exact=col_e,
         sd=sd,

@@ -92,7 +92,7 @@ class TestJacobian:
 
     def test_spot_check_operands(self, capsys, monkeypatch):
         """The row records only how many checks ran; the operands are the
-        pairs of 64 next_below(|J|) draws from RandomSource(0), in turn."""
+        pairs of 64 below(|J|, 64) draws from RandomSource(0), in turn."""
         calls = []
         original = HyperellipticCurve.cantor_add
 
@@ -101,12 +101,10 @@ class TestJacobian:
             return original(self, A, B)
 
         monkeypatch.setattr(HyperellipticCurve, "cantor_add", record)
-        monkeypatch.delenv("XJAC_CACHE_DIR", raising=False)
         assert run(capsys, ["jacobian", *F7_ARGS])[0] == 0
 
         J = HyperellipticCurve(finite_field(7), "1,0,0,0,0,1").enumerate_jacobian()
-        rng = RandomSource(0)
-        picks = [J[rng.next_below(len(J))] for _ in range(64)]
+        picks = [J[i] for i in RandomSource(0).below(len(J), 64)]
         # each check composes A + B, then B + A, A + 0 and A + (-A)
         assert len(calls) == 4 * 32
         assert calls[0::4] == list(zip(picks[0::2], picks[1::2]))
@@ -121,7 +119,6 @@ class TestJacobian:
             return u, v[:1]  # drops v's linear coefficient
 
         monkeypatch.setattr(HyperellipticCurve, "_cantor_general_raw", broken)
-        monkeypatch.delenv("XJAC_CACHE_DIR", raising=False)
         code, out, _ = run(
             capsys, ["jacobian", "--p", "7", "--n", "2", "--f", "1,0,0,0,0,1"]
         )
@@ -364,6 +361,17 @@ class TestCharsum:
         assert code == 3 and out == ""
         assert "needs about 1018081 character evaluations" in err
 
+    @pytest.mark.parametrize("budget", [[], ["--budget", str(10**12)]],
+                             ids=["default-budget", "huge-budget"])
+    def test_interval_L_out_of_range_exits_2(self, capsys, monkeypatch, budget):
+        """L is checked before the p * max(L) budget, so an L past p exits 2
+        at any budget, before a sum is taken."""
+        monkeypatch.setattr(cli, "interval_char_sum", None)
+        code, out, err = run(capsys, ["charsum", "--mode", "interval", "--p", "127",
+                                      "--L", "100000", *budget])
+        assert (code, out) == (2, "")
+        assert err == "error: L must be in [1, 127], got 100000\n"
+
     def test_interval_rejects_extension_field(self, capsys):
         code, _, _ = run(capsys, ["charsum", "--mode", "interval", "--p", "3",
                                   "--n", "2", "--L", "2"])
@@ -556,20 +564,14 @@ class TestCache:
             monkeypatch.setattr(cli.cache, name, forbidden)
         assert [run(capsys, argv)[1] for argv in argvs] == before
 
-    def test_env_var_fallback(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "envcache"
-        monkeypatch.setenv("XJAC_CACHE_DIR", str(cache))
-        code, _, _ = run(capsys, ["jacobian", *F7_ARGS])
-        assert code == 0
-        assert len(os.listdir(cache)) == 1
-
-    def test_flag_beats_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("XJAC_CACHE_DIR", str(tmp_path / "ignored"))
-        chosen = tmp_path / "chosen"
-        code, _, _ = run(capsys, ["jacobian", *F7_ARGS, "--cache-dir", str(chosen)])
-        assert code == 0
-        assert chosen.exists()
-        assert not (tmp_path / "ignored").exists()
+    def test_env_var_is_ignored(self, capsys, tmp_path, monkeypatch):
+        """Only --cache-dir or the cache_dir config key set the cache;
+        XJAC_CACHE_DIR is not read."""
+        before = run(capsys, ["jacobian", *F7_ARGS])[:2]
+        monkeypatch.setenv("XJAC_CACHE_DIR", str(tmp_path / "env"))
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, ["jacobian", *F7_ARGS])[:2] == before
+        assert os.listdir(tmp_path) == []
 
 
 class TestConfigFile:
@@ -639,6 +641,19 @@ class TestConfigFile:
         code, out, err = run(capsys, [command, "--config", str(path)])
         assert code == 2 and out == ""
         assert f"config file key {key!r} is not a known option" in err
+
+    def test_bad_format_rejected_before_any_work(self, capsys, tmp_path, monkeypatch):
+        """argparse's choices guard only --format; a config file's format is
+        checked with the other options, before enumeration or the cache."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"format": "xml"}))
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setattr(HyperellipticCurve, "enumerate_jacobian", None)
+        code, out, err = run(capsys, ["jacobian", *F7_ARGS, "--config", str(path),
+                                      "--cache-dir", str(cache_dir)])
+        assert (code, out) == (2, "")
+        assert err == "error: format must be csv or json, got 'xml'\n"
+        assert not cache_dir.exists()
 
     def test_null_value_counts_as_not_given(self, capsys, tmp_path):
         path = tmp_path / "nulls.json"

@@ -131,7 +131,7 @@ def seeded_quintic(K, seed):
     """A squarefree monic quintic over K with seeded random coefficients."""
     rng = RandomSource(seed)
     while True:
-        f = tuple(rng.next_below(K.q) for _ in range(5)) + (1,)
+        f = (*rng.below(K.q, 5), 1)
         try:
             return HyperellipticCurve(K, f)
         except NotSquarefreeError:
@@ -236,10 +236,10 @@ class TestDivisorValidity:
         for i, D in enumerate(divisors):
             v = list(D.v.coeffs) + [0] * (D.weight - len(D.v.coeffs))
             if i % 3 == 1:
-                j = rng.next_below(D.weight)
-                v[j] = K.add(v[j], 1 + rng.next_below(K.q - 1))
+                j = rng.below(D.weight, 1)[0]
+                v[j] = K.add(v[j], 1 + rng.below(K.q - 1, 1)[0])
             elif i % 3 == 2:
-                v = [rng.next_below(K.q) for _ in v]
+                v = rng.below(K.q, len(v))
             yield D.u, Poly(K, v)
 
     def check_random(self, curve, divisors, rng):
@@ -254,7 +254,7 @@ class TestDivisorValidity:
         curve = HyperellipticCurve(finite_field(3, 4), "2,40,13,7,29,1")
         J = [D for D in curve.enumerate_jacobian() if D.weight]
         rng = RandomSource(81)
-        self.check_random(curve, [J[rng.next_below(len(J))] for _ in range(2000)], rng)
+        self.check_random(curve, [J[i] for i in rng.below(len(J), 2000)], rng)
 
     def test_closed_form_matches_remainder_large_prime(self):
         p = 1000003  # p == 3 mod 4, so r^((p+1)/4) is a square root
@@ -263,7 +263,7 @@ class TestDivisorValidity:
 
         def point():
             while True:
-                x = rng.next_below(p)
+                x = rng.below(p, 1)[0]
                 r = curve.f(x)
                 if pow(r, (p - 1) // 2, p) == 1:
                     return curve.divisor_from_point((x, pow(r, (p + 1) // 4, p)))
@@ -472,13 +472,13 @@ class TestClosedForm:
         rng = RandomSource(p * n)
         if n == 1:  # |J| ~ 10^12: seeded multiples of one class
             G = weight2_class(curve)
-            J = [curve.scalar_mul(G, rng.next_below(p * p)) for _ in range(200)]
+            J = [curve.scalar_mul(G, m) for m in rng.below(p * p, 200)]
         else:
             J = curve.enumerate_jacobian()
         J = [D for D in J if D.weight == 2]
 
         def pick():
-            return J[rng.next_below(len(J))]
+            return J[rng.below(len(J), 1)[0]]
 
         pairs = [(pick(), pick()) for _ in range(2000)]
         pairs += [(D, D) for D in (pick() for _ in range(2000))]
@@ -490,8 +490,7 @@ class TestClosedForm:
         p = 1000003
         curve = HyperellipticCurve(finite_field(p), "5,17,0,3,11,1")
         G = weight2_class(curve)
-        rng = RandomSource(1000003)
-        scalars = [rng.next_below(p * p) for _ in range(20)]
+        scalars = RandomSource(1000003).below(p * p, 20)
         for m in scalars:
             assert curve.scalar_mul(G, m) == cantor_only_scalar_mul(curve, G, m)
         for a, b in zip(scalars[:4], scalars[4:8]):
@@ -602,8 +601,7 @@ class TestLadder:
         curve = request.getfixturevalue(name)
         K = curve.field
         J = curve.enumerate_jacobian()
-        rng = RandomSource(len(J))
-        for D in [J[1]] + [J[rng.next_below(len(J))] for _ in range(3)]:
+        for D in [J[1]] + [J[i] for i in RandomSource(len(J)).below(len(J), 3)]:
             acc = curve.zero()
             for m in range(3 * len(J)):
                 assert curve.scalar_mul(D, m) == acc, (D, m)
@@ -618,7 +616,7 @@ class TestLadder:
         p = curve.field.p
         rng = RandomSource(19)
         for _ in range(10):
-            a, b = rng.next_below(p * p), rng.next_below(p * p)
+            a, b = rng.below(p * p, 2)
             aG, bG = curve.scalar_mul(G, a), curve.scalar_mul(G, b)
             assert curve.scalar_mul(G, a + b) == curve.cantor_add(aG, bG), (a, b)
 
@@ -635,9 +633,8 @@ class TestLadder:
             raw_calls.clear()
             curve.scalar_mul(G, m)
             assert not raw_calls
-        rng = RandomSource(40)
-        for _ in range(50):
-            m = rng.next_below(2**64) + 2
+        for r in RandomSource(40).below(2**64, 50):
+            m = r + 2
             digits, weight = naf_shape(m)
             curve._doublings.clear()
             raw_calls.clear()
@@ -652,8 +649,8 @@ class TestLadder:
         curve._doublings.clear()
         for _ in range(2):
             curve.scalar_mul(G, 2**66)
-        rng = RandomSource(41)
-        for m in [1, 2, 2**40 - 1, 2**65 + 1] + [rng.next_below(2**64) + 2 for _ in range(50)]:
+        randoms = [r + 2 for r in RandomSource(41).below(2**64, 50)]
+        for m in [1, 2, 2**40 - 1, 2**65 + 1] + randoms:
             digits, weight = naf_shape(m)
             raw_calls.clear()
             curve.scalar_mul(G, m)
@@ -680,8 +677,7 @@ class TestDoublingChain:
             return curve, [G, curve.scalar_mul(G, 123456789)], None
         curve = HyperellipticCurve(finite_field(7, 2), "3,5,11,20,7,1")
         J = curve.enumerate_jacobian()
-        rng = RandomSource(49)
-        bases = [J[1]] + [J[rng.next_below(len(J))] for _ in range(3)]
+        bases = [J[1]] + [J[i] for i in RandomSource(49).below(len(J), 3)]
         return curve, bases, len(J)
 
     @staticmethod
@@ -954,10 +950,9 @@ class TestGroupLaws:
 
     def test_associativity_seeded_triples(self, c11):
         J = c11.enumerate_jacobian()
-        rng = RandomSource(2024)
-        n = len(J)
-        for _ in range(1000):
-            A, B, C = (J[rng.next_below(n)] for _ in range(3))
+        draws = RandomSource(2024).below(len(J), 3000)
+        for a, b, c in zip(draws[0::3], draws[1::3], draws[2::3]):
+            A, B, C = J[a], J[b], J[c]
             assert c11.cantor_add(c11.cantor_add(A, B), C) == c11.cantor_add(
                 A, c11.cantor_add(B, C)
             )
@@ -977,8 +972,7 @@ class TestGroupLaws:
         J = curve.enumerate_jacobian()
         n = len(J)
         if samples:
-            rng = RandomSource(p)
-            J = [J[rng.next_below(n)] for _ in range(samples)]
+            J = [J[i] for i in RandomSource(p).below(n, samples)]
         for D in J:
             assert curve.scalar_mul(D, n).is_zero
 

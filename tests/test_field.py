@@ -1,5 +1,7 @@
 """Field axioms, Frobenius/trace behavior, encodings and error paths."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -404,6 +406,15 @@ class TestConstructionErrors:
         custom = FiniteField(3, 2, (2, 2, 1))
         assert custom == custom and hash(custom) == hash((3, 2, (2, 2, 1)))
         assert custom.__eq__(object()) is NotImplemented
+        # built apart from a list with a zero top coefficient, it hashes
+        # from the value kept at construction and shares lru_cache entries
+        listed = FiniteField(3, 2, [2, 2, 1, 0])
+        assert listed == custom and hash(listed) == listed._hash == hash(custom)
+        built = []
+        keyed = functools.lru_cache(maxsize=None)(built.append)
+        keyed(custom)
+        keyed(listed)
+        assert built == [custom]
 
 
 @given(st.integers(min_value=0, max_value=3**4 - 1), st.integers(min_value=0, max_value=3**4 - 1))
