@@ -12,8 +12,11 @@ Report bytes depend only on the configuration (including seeds), never on
 cache warmth or wall time, so reruns are byte-identical and diffable.
 Timing and cache-hit information goes to stderr only; the enumeration
 cache serves jacobian alone, and extract-sd and sweep never touch it.
-Options are validated before any work or cache lookup, and so is the
-work cap --budget, judged here alone on each command's estimate:
+One argparse parser types, defaults and checks every option.  A --config
+file is read as the flags it stands for, placed before the command
+line's own, so flags win.  Options, --out's directory included, are
+checked before any work or cache lookup, and so is the work cap
+--budget, judged here alone on each command's estimate:
 (sqrt(q) + 1)^4 classes for jacobian, extract-sd and each sweep curve,
 and also the sample count for a Monte-Carlo extract-sd, the character
 evaluations for charsum.
@@ -30,6 +33,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -78,10 +82,37 @@ CHARSUM_COLUMNS = [
 CHARSUM_MODES = ("orthogonality", "mordell", "winterhof", "interval")
 
 
-# -- config plumbing -----------------------------------------------------------
+# -- options -------------------------------------------------------------------
 
 
-def _load_config_file(path: str) -> dict:
+def int_list(text: str) -> list[int]:
+    """The argparse type of a comma list of integers; empty items are skipped."""
+    return [int(s, 10) for s in text.split(",") if s.strip()]
+
+
+def extractor(name: str) -> ExtractorKind:
+    """The argparse type of --extractor."""
+    try:
+        return ExtractorKind.from_name(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def extractor_list(text: str) -> list[ExtractorKind]:
+    """The argparse type of sweep's comma list of extractors."""
+    return [extractor(s) for s in text.split(",") if s.strip()]
+
+
+_LIST_TYPES = (int_list, extractor_list)
+
+
+def _config_flags(path: str, options: dict) -> list[str]:
+    """The --flag=value items the JSON object in a config file stands for.
+
+    options maps each option dest a config file may set to its flag and
+    argparse type, as build_parser keeps them.  A null counts as not
+    given; besides a string, a JSON number is taken only by an int option
+    and a JSON list, joined with commas, only by a list option."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -91,84 +122,38 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    return data
-
-
-def merged_config(args: argparse.Namespace) -> dict:
-    """File values first, explicit flags override.
-
-    The known keys are the subcommand's own option dests; a null value
-    counts as not given."""
-    flags = {
-        key: val for key, val in vars(args).items()
-        if key not in ("command", "func", "config")
-    }
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    for key in file_cfg:
-        if key not in flags:
+    flags = []
+    for key, val in data.items():
+        if key not in options:
             raise ConfigError(f"config file key {key!r} is not a known option")
-    cfg = {key: val for key, val in file_cfg.items() if val is not None}
-    cfg.update((key, val) for key, val in flags.items() if val is not None)
-    for key in ("out", "cache_dir"):
-        if not isinstance(cfg.get(key, ""), str):
-            raise ConfigError(f"option {key!r} must be a path string, got {cfg[key]!r}")
-    fmt = cfg.get("format") or "csv"
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    return cfg
+        if val is None:
+            continue
+        flag, kind = options[key]
+        if isinstance(val, list) and kind in _LIST_TYPES:
+            val = ",".join(map(str, val))
+        elif type(val) is int and kind is int:
+            val = str(val)
+        if not isinstance(val, str):
+            want = "an integer" if kind is int else (
+                "a comma list" if kind in _LIST_TYPES else "a string"
+            )
+            raise ConfigError(f"option {key!r} must be {want}, got {val!r}")
+        flags.append(f"{flag}={val}")
+    return flags
 
 
-def _require(cfg: dict, key: str):
-    val = cfg.get(key)
+def _require(args: argparse.Namespace, key: str):
+    val = getattr(args, key)
     if val is None:
-        flag = key.replace("_", "-")
-        raise ConfigError(f"missing required option --{flag}")
+        raise ConfigError(f"missing required option --{key}")
     return val
 
 
-def _as_int(
-    cfg: dict, key: str, default: int | None = None, required: bool = False
-) -> int | None:
-    val = _require(cfg, key) if required else cfg.get(key, default)
-    if val is None or (isinstance(val, int) and not isinstance(val, bool)):
-        return val
-    try:
-        return int(str(val), 10)
-    except ValueError:
-        raise ConfigError(f"option {key!r} must be an integer, got {val!r}")
-
-
-def _list(cfg: dict, key: str) -> list:
-    """The items of a comma-separated string or of a JSON list."""
-    val = _require(cfg, key)
-    if isinstance(val, str):
-        return [s for s in val.split(",") if s.strip()]
-    if isinstance(val, list):
-        return val
-    raise ConfigError(f"option {key!r} must be a comma list, got {val!r}")
-
-
-def _int_list(cfg: dict, key: str) -> list[int]:
-    items = _list(cfg, key)
-    try:
-        return [int(str(s), 10) for s in items]
-    except ValueError:
-        raise ConfigError(f"option {key!r} has non-integer entries: {cfg[key]!r}")
-
-
-def build_field(cfg: dict) -> FiniteField:
-    p = _as_int(cfg, "p", required=True)
-    n = _as_int(cfg, "n", 1)
-    if "modulus" in cfg:
-        return FiniteField(p, n, tuple(_int_list(cfg, "modulus")))
-    return finite_field(p, n)
-
-
-def _extractor_kind(name) -> ExtractorKind:
-    try:
-        return ExtractorKind.from_name(str(name))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def build_field(args: argparse.Namespace) -> FiniteField:
+    p = _require(args, "p")
+    if args.modulus is not None:
+        return FiniteField(p, args.n, tuple(args.modulus))
+    return finite_field(p, args.n)
 
 
 def _require_budget(what: str, est: int, budget: int) -> None:
@@ -276,15 +261,16 @@ def render_json(command: str, columns: list[str], rows: list[dict]) -> str:
     )
 
 
-def emit_report(cfg: dict, command: str, columns: list[str], rows: list[dict]) -> None:
+def emit_report(
+    args: argparse.Namespace, command: str, columns: list[str], rows: list[dict]
+) -> None:
     text = (
         render_json(command, columns, rows)
-        if cfg.get("format") == "json"
+        if args.format == "json"
         else render_csv(columns, rows)
     )
-    out = cfg.get("out")
-    if out:
-        with open(out, "w", encoding="ascii", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -337,15 +323,13 @@ def _extract_cell(
 
 
 def cmd_jacobian(args: argparse.Namespace) -> int:
-    cfg = merged_config(args)
-    budget = _as_int(cfg, "budget", DEFAULT_BUDGET)
-    field = build_field(cfg)
-    curve = HyperellipticCurve(field, str(_require(cfg, "f")))
+    field = build_field(args)
+    curve = HyperellipticCurve(field, _require(args, "f"))
     lo, hi = curve.weil_interval()
-    _require_budget(_CLASSES, hi, budget)  # before the cache: warmth cannot pass it
+    _require_budget(_CLASSES, hi, args.budget)  # before the cache: warmth cannot pass it
 
     t0 = time.perf_counter()
-    divisors, source = cache.ensure_jacobian(curve, cfg.get("cache_dir"))
+    divisors, source = cache.ensure_jacobian(curve, args.cache_dir)
     order = len(divisors)
 
     # seeded group-law spot checks: commutativity, closure, identity, inverse
@@ -377,7 +361,7 @@ def cmd_jacobian(args: argparse.Namespace) -> int:
         "spot_failures": failures,
         "status": "ok" if (weil_ok and failures == 0) else "fail",
     }
-    emit_report(cfg, "jacobian", JACOBIAN_COLUMNS, [row])
+    emit_report(args, "jacobian", JACOBIAN_COLUMNS, [row])
     ms = (time.perf_counter() - t0) * 1000.0
     _note(f"jacobian: |J| = {order}, enumeration = {source}, runtime_ms = {ms:.1f}")
     return 0 if row["status"] == "ok" else 1
@@ -411,46 +395,34 @@ def _extract_row(
 
 
 def cmd_extract_sd(args: argparse.Namespace) -> int:
-    cfg = merged_config(args)
-    budget = _as_int(cfg, "budget", DEFAULT_BUDGET)
-    field = build_field(cfg)
-    curve = HyperellipticCurve(field, str(_require(cfg, "f")))
-    kind = _extractor_kind(_require(cfg, "extractor"))
-    k = _as_int(cfg, "k", required=True)
+    field = build_field(args)
+    curve = HyperellipticCurve(field, _require(args, "f"))
+    kind = _require(args, "extractor")
+    k = _require(args, "k")
     outcome_count(kind, field, k)  # raises when (kind, k) does not fit the field
-    mode = cfg.get("mode") or "exact"
-    if mode not in ("exact", "montecarlo"):
-        raise ConfigError(f"mode must be exact or montecarlo, got {mode!r}")
-    samples = _as_int(cfg, "samples")
-    seed = _as_int(cfg, "seed")
+    mode, samples, seed = args.mode, args.samples, args.seed
     if mode == "montecarlo" and (samples is None or seed is None):
         raise ConfigError("montecarlo mode requires --samples and --seed")
     if mode == "exact":
         samples = seed = None
-    _require_budget(_CLASSES, curve.weil_interval()[1], budget)
+    _require_budget(_CLASSES, curve.weil_interval()[1], args.budget)
     if mode == "montecarlo":
         # one Python int per draw is held until the tally
-        _require_budget("montecarlo mode draws {} samples", samples, budget)
+        _require_budget("montecarlo mode draws {} samples", samples, args.budget)
 
     t0 = time.perf_counter()
     how = "tally = counted" if mode == "exact" else "tally = sampled"
     row = _extract_row(curve, kind, k, mode, samples, seed, "extract-sd")
-    emit_report(cfg, "extract-sd", EXTRACT_COLUMNS, [row])
+    emit_report(args, "extract-sd", EXTRACT_COLUMNS, [row])
     ms = (time.perf_counter() - t0) * 1000.0
     _note(f"extract-sd: sd = {row['sd']:.6g}, {how}, runtime_ms = {ms:.1f}")
     return 0
 
 
 def cmd_charsum(args: argparse.Namespace) -> int:
-    cfg = merged_config(args)
-    mode = _require(cfg, "mode")
-    if mode not in CHARSUM_MODES:
-        raise ConfigError(
-            f"charsum mode must be one of {', '.join(CHARSUM_MODES)}, got {mode!r}"
-        )
-    budget = _as_int(cfg, "budget", DEFAULT_BUDGET)
+    mode = _require(args, "mode")
     evals = f"charsum mode {mode} needs about {{}} character evaluations"
-    p = _as_int(cfg, "p", required=True)
+    p = _require(args, "p")
 
     rows: list[dict] = []
     base = {
@@ -467,16 +439,16 @@ def cmd_charsum(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
 
     if mode == "interval":
-        if _as_int(cfg, "n", 1) != 1:
+        if args.n != 1:
             raise ConfigError("interval sums are defined over prime fields (n = 1)")
         if not is_prime(p):
             raise ConfigError(f"p = {p} is not prime")
-        L_single = _as_int(cfg, "L")
+        L_single = args.L
         if L_single is not None and not 1 <= L_single <= p:
             raise ConfigError(f"L must be in [1, {p}], got {L_single}")
         Ls = [L_single] if L_single is not None else list(range(1, p + 1))
         # the running sums cost p terms per L up to the largest L
-        _require_budget(evals, p * max(Ls), budget)
+        _require_budget(evals, p * max(Ls), args.budget)
         for L in Ls:
             rep = interval_char_sum(p, L)
             rows.append(
@@ -489,22 +461,22 @@ def cmd_charsum(args: argparse.Namespace) -> int:
                 }
             )
     else:
-        field = build_field(cfg)
+        field = build_field(args)
         q = field.q
         if mode == "orthogonality":
             est = q * q
         elif mode == "mordell":
             est = q**3 * (q - 1)
         else:  # winterhof: one --basis, or every subset of 0..n-1
-            if "basis" in cfg:
-                bases = [tuple(sorted(_int_list(cfg, "basis")))]
+            if args.basis is not None:
+                bases = [tuple(sorted(args.basis))]
             else:
                 bases = [
                     tuple(i for i in range(field.n) if mask >> i & 1)
                     for mask in range(2**field.n)
                 ]
             est = sum(q * field.p ** len(b) for b in bases)
-        _require_budget(evals, est, budget)
+        _require_budget(evals, est, args.budget)
         base |= {"n": field.n, "q": q}
         if mode == "orthogonality":
             tol = 1e-9 * q
@@ -563,7 +535,7 @@ def cmd_charsum(args: argparse.Namespace) -> int:
                     }
                 )
 
-    emit_report(cfg, "charsum", CHARSUM_COLUMNS, rows)
+    emit_report(args, "charsum", CHARSUM_COLUMNS, rows)
     ms = (time.perf_counter() - t0) * 1000.0
     fails = sum(1 for r in rows if r["status"] != "pass")
     _note(f"charsum: {len(rows)} rows, {fails} failures, runtime_ms = {ms:.1f}")
@@ -573,11 +545,9 @@ def cmd_charsum(args: argparse.Namespace) -> int:
 def _resolve_template(field: FiniteField, template: str, c: int | None) -> HyperellipticCurve:
     """Instantiate an f template over the field; a bare `c` token is the
     swept coefficient, advanced to the next value that gives a squarefree f."""
-    tokens = [t.strip() for t in template.split(",")]
-    if "c" not in tokens:
-        return HyperellipticCurve(field, template)
     if c is None:
-        raise ConfigError("f template uses 'c' but no --c values were given")
+        return HyperellipticCurve(field, template)
+    tokens = [t.strip() for t in template.split(",")]
     cur = c % field.q
     for _ in range(field.q):
         fstr = ",".join(str(cur) if t == "c" else t for t in tokens)
@@ -591,29 +561,27 @@ def _resolve_template(field: FiniteField, template: str, c: int | None) -> Hyper
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = merged_config(args)
-    budget = _as_int(cfg, "budget", DEFAULT_BUDGET)
-    n = _as_int(cfg, "n", 1)
-    ps = _int_list(cfg, "p")
-    template = str(_require(cfg, "f"))
-    kinds = [_extractor_kind(s) for s in _list(cfg, "extractor")]
-    ks = _int_list(cfg, "k") if "k" in cfg else [1]
-
-    cs: list[int | None]
-    if "c" in cfg:
-        cs = _int_list(cfg, "c")
-        if len(cs) != len(ps):
-            raise ConfigError(
-                f"--c needs one value per p: got {len(cs)} for {len(ps)} primes"
-            )
-    else:
+    ps = _require(args, "p")
+    template = _require(args, "f")
+    kinds = _require(args, "extractor")
+    ks, cs = args.k, args.c
+    swept = "c" in [t.strip() for t in template.split(",")]
+    if swept != (cs is not None):
+        raise ConfigError(
+            "f template uses 'c' but no --c values were given" if swept
+            else "--c values were given but the f template has no 'c' token"
+        )
+    if cs is None:
         cs = [None] * len(ps)
-
+    elif len(cs) != len(ps):
+        raise ConfigError(
+            f"--c needs one value per p: got {len(cs)} for {len(ps)} primes"
+        )
     if not ps or not kinds or not ks:
         raise ConfigError("sweep grid is empty")
 
     # validate the whole grid before doing any work
-    fields = [build_field({"p": p, "n": n}) for p in ps]
+    fields = [finite_field(p, args.n) for p in ps]
     for field in fields:
         for kind in kinds:
             for k in ks:
@@ -625,7 +593,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for field, c in zip(fields, cs):
         curve = _resolve_template(field, template, c)
         try:
-            _require_budget(_CLASSES, curve.weil_interval()[1], budget)
+            _require_budget(_CLASSES, curve.weil_interval()[1], args.budget)
         except BudgetExceededError:
             for kind in kinds:
                 for k in ks:
@@ -658,7 +626,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "status": "ok",
         }
     )
-    emit_report(cfg, "sweep", EXTRACT_COLUMNS, rows)
+    emit_report(args, "sweep", EXTRACT_COLUMNS, rows)
     ms = (time.perf_counter() - t0) * 1000.0
     _note(
         f"sweep: {len(rows) - 1} cells, {warnings} budget warning(s), "
@@ -670,76 +638,86 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with defaults for any option")
-    sub.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_argument("--format", choices=["csv", "json"], help="report format (default csv)")
-    sub.add_argument("--cache-dir", dest="cache_dir", help="Jacobian cache directory for jacobian (default none)")
-    sub.add_argument("--budget", type=int, help="work cap before BudgetExceeded (default 10^6)")
+_N = ("--n", dict(type=int, default=1, help="extension degree (default 1)"))
+_FIELD = (
+    ("--p", dict(type=int, help="field characteristic (prime)")),
+    _N,
+    ("--modulus", dict(type=int_list, help="extension modulus c0,c1,...,1 over F_p")),
+)
+_F = ("--f", dict(help="curve polynomial c0,...,c5 (monic quintic)"))
+_COMMON = (
+    ("--out", dict(help="write the report here instead of stdout")),
+    ("--format", dict(choices=["csv", "json"], default="csv",
+                      help="report format (default csv)")),
+    ("--cache-dir", dict(help="Jacobian cache directory for jacobian (default none)")),
+    ("--budget", dict(type=int, default=DEFAULT_BUDGET,
+                      help="work cap before BudgetExceeded (default 10^6)")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every option.  Its config_options attribute maps each
+    subcommand to {dest: (flag, type)} for the options a --config file
+    may set."""
     parser = argparse.ArgumentParser(
         prog="xjac",
         description="Genus-2 Jacobian arithmetic, extractors and character-sum checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.config_options = {}
 
-    pj = sub.add_parser("jacobian", help="enumerate a Jacobian and check its size")
-    pj.add_argument("--p", type=int, help="field characteristic (prime)")
-    pj.add_argument("--n", type=int, help="extension degree (default 1)")
-    pj.add_argument("--modulus", help="extension modulus c0,c1,...,1 over F_p")
-    pj.add_argument("--f", help="curve polynomial c0,...,c5 (monic quintic)")
-    _add_common(pj)
-    pj.set_defaults(func=cmd_jacobian)
+    def command(name, func, help, *options):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        sp.add_argument("--config", help="JSON file of option values; flags win")
+        kept = parser.config_options[name] = {}
+        for flag, kw in (*options, *_COMMON):
+            kept[sp.add_argument(flag, **kw).dest] = (flag, kw.get("type"))
 
-    pe = sub.add_parser("extract-sd", help="extractor output distribution and SD")
-    pe.add_argument("--p", type=int)
-    pe.add_argument("--n", type=int)
-    pe.add_argument("--modulus")
-    pe.add_argument("--f")
-    pe.add_argument("--extractor", help="sum, prod, sk or pk")
-    pe.add_argument("--k", type=int, help="output length")
-    pe.add_argument("--mode", choices=["exact", "montecarlo"])
-    pe.add_argument("--samples", type=int, help="montecarlo sample count")
-    pe.add_argument("--seed", type=int, help="montecarlo RNG seed")
-    _add_common(pe)
-    pe.set_defaults(func=cmd_extract_sd)
-
-    pc = sub.add_parser("charsum", help="character-sum law checks")
-    pc.add_argument("--p", type=int)
-    pc.add_argument("--n", type=int)
-    pc.add_argument("--modulus")
-    pc.add_argument("--mode", choices=list(CHARSUM_MODES))
-    pc.add_argument("--basis", help="winterhof: basis indices i,j,... (default all)")
-    pc.add_argument("--L", type=int, help="interval: single length (default all)")
-    _add_common(pc)
-    pc.set_defaults(func=cmd_charsum)
-
-    ps = sub.add_parser("sweep", help="extract-sd over a (p, extractor, k) grid")
-    ps.add_argument("--p", help="comma list of primes")
-    ps.add_argument("--n", type=int)
-    ps.add_argument("--f", help="curve template; a bare c token is swept per prime")
-    ps.add_argument("--extractor", help="comma list of extractors")
-    ps.add_argument("--k", help="comma list of output lengths (default 1)")
-    ps.add_argument("--c", help="template coefficient per prime, comma list")
-    _add_common(ps)
-    ps.set_defaults(func=cmd_sweep)
-
+    command("jacobian", cmd_jacobian, "enumerate a Jacobian and check its size",
+            *_FIELD, _F)
+    command("extract-sd", cmd_extract_sd, "extractor output distribution and SD",
+            *_FIELD, _F,
+            ("--extractor", dict(type=extractor, help="sum, prod, sk or pk")),
+            ("--k", dict(type=int, help="output length")),
+            ("--mode", dict(choices=["exact", "montecarlo"], default="exact")),
+            ("--samples", dict(type=int, help="montecarlo sample count")),
+            ("--seed", dict(type=int, help="montecarlo RNG seed")))
+    command("charsum", cmd_charsum, "character-sum law checks",
+            *_FIELD,
+            ("--mode", dict(choices=CHARSUM_MODES)),
+            ("--basis", dict(type=int_list,
+                             help="winterhof: basis indices i,j,... (default all)")),
+            ("--L", dict(type=int, help="interval: single length (default all)")))
+    command("sweep", cmd_sweep, "extract-sd over a (p, extractor, k) grid",
+            ("--p", dict(type=int_list, help="comma list of primes")),
+            _N,
+            ("--f", dict(help="curve template; a bare c token is swept per prime")),
+            ("--extractor", dict(type=extractor_list, help="comma list of extractors")),
+            ("--k", dict(type=int_list, default=[1],
+                         help="comma list of output lengths (default 1)")),
+            ("--c", dict(type=int_list, help="template coefficient per prime, comma list")))
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        if args.config:
+            # the file's flags go first, so the command line's own win
+            at = argv.index(args.command) + 1
+            flags = _config_flags(args.config, parser.config_options[args.command])
+            args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ConfigError(f"--out {args.out}: no such directory")
+        return args.func(args)
+    except SystemExit as exc:  # argparse: --help or a bad option
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    try:
-        return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -351,7 +351,9 @@ class TestCharsum:
         code, out, err = run(capsys, ["charsum", "--mode", "winterhof", "--p", "3",
                                       "--n", "3", "--basis", "0,x"])
         assert code == 2 and out == ""
-        assert "option 'basis' has non-integer entries" in err
+        assert err.splitlines()[-1] == (
+            "xjac charsum: error: argument --basis: invalid int_list value: '0,x'"
+        )
 
     def test_interval_budget_charges_the_largest_L(self, capsys):
         # p * max(L) = 331^2 fits the default 10^6; 1009^2 does not
@@ -487,6 +489,21 @@ class TestSweep:
                                     "--extractor", "sum", "--k", "1"])
         assert code == 0
         assert rows_of(out)[0]["f"] == "1,0,0,0,0,1"
+
+    @pytest.mark.parametrize("f, c, message", [
+        ("1,0,0,0,0,1", ["--c", "3"],
+         "--c values were given but the f template has no 'c' token"),
+        ("1,c,0,0,0,1", [], "f template uses 'c' but no --c values were given"),
+    ], ids=["c-without-token", "token-without-c"])
+    def test_c_and_template_token_go_together(self, capsys, monkeypatch, f, c, message):
+        """A --c list with no bare c token in --f, or the converse, exits 2
+        before a field is built or a class counted."""
+        monkeypatch.setattr(cli, "finite_field", None)
+        monkeypatch.setattr(HyperellipticCurve, "value_counts", None)
+        code, out, err = run(capsys, ["sweep", "--p", "7", *c, "--f", f,
+                                      "--extractor", "sum"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
 
 class TestCache:
@@ -643,8 +660,8 @@ class TestConfigFile:
         assert f"config file key {key!r} is not a known option" in err
 
     def test_bad_format_rejected_before_any_work(self, capsys, tmp_path, monkeypatch):
-        """argparse's choices guard only --format; a config file's format is
-        checked with the other options, before enumeration or the cache."""
+        """A config file's format is a --format flag to the one parser, so
+        its choices reject it before enumeration or the cache."""
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "xml"}))
         cache_dir = tmp_path / "cache"
@@ -652,8 +669,43 @@ class TestConfigFile:
         code, out, err = run(capsys, ["jacobian", *F7_ARGS, "--config", str(path),
                                       "--cache-dir", str(cache_dir)])
         assert (code, out) == (2, "")
-        assert err == "error: format must be csv or json, got 'xml'\n"
+        # the choices list after this text is worded differently across Pythons
+        assert "xjac jacobian: error: argument --format: invalid choice: 'xml'" in err
         assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("command", sorted(FULL))
+    def test_config_route_is_flags_route(self, capsys, tmp_path, command):
+        """The same values as a config file and as flags give the same bytes
+        and exit code: the file is read as the flags it stands for."""
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps(self.FULL[command]))
+        flags = []
+        for key, val in self.FULL[command].items():
+            text = ",".join(map(str, val)) if isinstance(val, list) else str(val)
+            flags += ["--" + key.replace("_", "-"), text]
+        from_file = run(capsys, [command, "--config", str(path)])
+        from_flags = run(capsys, [command, *flags])
+        assert from_file[0] == from_flags[0] == 0
+        assert from_file[1] == from_flags[1] != ""
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_out_directory_checked_before_any_work(self, capsys, tmp_path, monkeypatch, via):
+        """--out's directory is checked right after parsing: a missing one
+        exits 2 before enumeration, and the cache directory stays empty."""
+        missing = str(tmp_path / "missing" / "r.csv")
+        out_args = ["--out", missing]
+        if via == "config":
+            path = tmp_path / "out.json"
+            path.write_text(json.dumps({"out": missing}))
+            out_args = ["--config", str(path)]
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        monkeypatch.setattr(HyperellipticCurve, "enumerate_jacobian", None)
+        code, out, err = run(capsys, ["jacobian", *F7_ARGS, *out_args,
+                                      "--cache-dir", str(cache_dir)])
+        assert (code, out) == (2, "")
+        assert err == f"error: --out {missing}: no such directory\n"
+        assert os.listdir(cache_dir) == []
 
     def test_null_value_counts_as_not_given(self, capsys, tmp_path):
         path = tmp_path / "nulls.json"
@@ -671,6 +723,8 @@ class TestConfigFile:
             ("jacobian", "modulus", 5),
             ("jacobian", "cache_dir", 5),
             ("jacobian", "out", 5),
+            ("jacobian", "p", True),
+            ("sweep", "p", 7),
         ],
     )
     def test_wrong_typed_value_is_config_error(self, capsys, tmp_path, command, key, value):
