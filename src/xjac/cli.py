@@ -710,6 +710,8 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             flags = _config_flags(args.config, parser.config_options[args.command])
             args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
+        if args.out and os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out}: is a directory")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ConfigError(f"--out {args.out}: no such directory")
         return args.func(args)

@@ -10,21 +10,22 @@ results without checking again what the curve computed itself, which
 keeps the exhaustive group-law sweeps in the test-suite fast enough to be
 routine.
 
-There are closed forms for prime fields only: adding two weight-2
-classes whose u are coprime, and doubling one whose u and v are coprime,
-each take formulas with one field inversion on plain ints (Cantor, Math.
-Comp. 48, 1987; Lange, AAECC 15, 2005).  They serve large-q scalar
-multiplication, where at p = 1000003 every composition takes one of
-them.  It runs right to left over the non-adjacent form of the scalar,
-adding +-2^i*D from a doubling chain that each curve keeps for a base
-from its second use, for its last four bases: a fresh base costs the
-doublings and adds of a left-to-right ladder, a repeated one (a fixed
-generator) no doublings from its third use on.  Every other case, a
-generic one whose sum has weight below 2, and every composition over an
-extension field go through Cantor's composition and reduction, which is
-also the oracle the tests check the formulas against.  Extension fields
-compose by Cantor's algorithm because no workload composes over them at
-scale.
+There is one closed form, for prime fields only: it composes two
+weight-2 classes with one field inversion on plain ints, and its add
+(u1, u2 coprime) and double (u, v coprime) differ only in how they find
+the linear s that one reduction step turns into [u', v'] (Cantor, Math.
+Comp. 48, 1987; Lange, AAECC 15, 2005).  It serves large-q scalar
+multiplication, where at p = 1000003 every composition takes it.
+Scalar multiplication runs right to left over the non-adjacent form of
+the scalar, adding +-2^i*D from a doubling chain that each curve keeps
+for a base from its second use, for its last four bases: a fresh base
+costs the doublings and adds of a left-to-right ladder, a repeated one
+(a fixed generator) no doublings from its third use on.  Every other
+case, a generic one whose sum has weight below 2, and every composition
+over an extension field go through Cantor's composition and reduction,
+which is also the oracle the tests check the closed form against.
+Extension fields compose by Cantor's algorithm because no workload
+composes over them at scale.
 
 Validity and enumeration work from f mod u: with u = x^2 + a*x + b,
 f == r1*x + r0 and v = c*x + d, u | v^2 - f reads 2cd - a*c^2 = r1 and
@@ -289,100 +290,78 @@ class HyperellipticCurve:
 
     def _cantor_raw(self, u1, v1, u2, v2) -> tuple[list, list]:
         """One group operation on raw lists: over a prime field the
-        closed-form weight-2 double (equal operands) or add when it
-        applies, Cantor's algorithm otherwise."""
+        closed form for two weight-2 classes when it applies, Cantor's
+        algorithm otherwise."""
         if self._prime and len(u1) == 3 and len(u2) == 3:
-            if u1 == u2 and v1 == v2:
-                out = self._double_prime_raw(u1, v1)
-            else:
-                out = self._add_prime_raw(u1, v1, u2, v2)
+            out = self._weight2_prime_raw(u1, v1, u2, v2)
             if out is not None:
                 return out
         return self._cantor_general_raw(u1, v1, u2, v2)
 
-    def _add_prime_raw(self, u1, v1, u2, v2) -> tuple[list, list] | None:
-        """Closed-form sum of two weight-2 classes over F_p, or None when
-        the generic formulas do not apply (Cantor 1987; Lange, AAECC 15,
-        2005).
+    def _weight2_prime_raw(self, u1, v1, u2, v2) -> tuple[list, list] | None:
+        """Closed-form sum of two weight-2 classes over F_p, their double
+        when (u1, v1) == (u2, v2), or None when the generic formulas do
+        not apply (Cantor 1987; Lange, AAECC 15, 2005).
 
-        With s = s1*x + s0 the linear polynomial that makes V = v1 + s*u1
-        agree with v2 mod u2, [u1*u2, V] is Cantor's composition and one
-        reduction step gives u' = (V^2 - f)/(s1^2*u1*u2) and v' = -V mod
-        u'.  Applies when Res(u1, u2) != 0 and s1 != 0; costs one field
-        inversion.  In sigma = s0/s1 and lam = 1/s1, the top two
-        coefficients of (V^2 - f)/s1^2 give u' = x^2 + e1*x + e0, and
-        v' = -(v1 + s1*(x + sigma)*(u1 - u')) mod u' with u1 - u' linear,
-        so V is never formed.  Plain ints with + - * inline, which cost
-        less than a K._add/_sub/_mul call each; % p is taken where a value
-        must be canonical (before a zero test, before the inversion, on
-        the outputs) and on sigma, lam and s1, which keeps the products
-        that follow from growing."""
+        s = s1*x + s0 is w*z^-1 mod u2, the linear polynomial that makes
+        V = v1 + s*u1 agree with v2 mod u2 (add: w = v2 - v1, z = u1) or
+        satisfy V^2 == f mod u1^2 (double: w = (f - v1^2)/u1, z = 2*v1).
+        [u1*u2, V] is Cantor's composition, and one reduction step gives
+        u' = (V^2 - f)/(s1^2*u1*u2) and v' = -V mod u'.  Applies when
+        Res(u2, z) != 0 and s1 != 0; costs one field inversion.  In
+        sigma = s0/s1 and lam = 1/s1, the top two coefficients of
+        (V^2 - f)/s1^2 give u' = x^2 + e1*x + e0, and v' = -(v1 + s1*(x +
+        sigma)*(u1 - u')) mod u' with u1 - u' linear, so V is never
+        formed.  Plain ints with + - * inline, which cost less than a
+        K._add/_sub/_mul call each; % p is taken where a value must be
+        canonical (before a zero test, before the inversion, on the
+        outputs) and on sigma, lam and s1, which keeps the products that
+        follow from growing."""
         p = self.field.p
+        f4 = self._fraw[4]
         a0, a1, _ = u1
-        c0, c1, _ = u2
-        b0 = v1[0] if v1 else 0
-        b1 = v1[1] if len(v1) > 1 else 0
-        w0 = (v2[0] if v2 else 0) - b0
-        w1 = (v2[1] if len(v2) > 1 else 0) - b1
-        # s = w * z^-1 mod u2 with z = u1 mod u2 = z1*x + z0, and
-        # z^-1 == (-z1*x + y0)/r mod x^2 + c1*x + c0
-        z1, z0 = a1 - c1, a0 - c0
-        y0 = z0 - c1 * z1
-        r = (z0 * y0 + c0 * z1 * z1) % p
-        if not r:
-            return None
-        w1z1 = w1 * z1
-        rs1 = (w1 * y0 - w0 * z1 + c1 * w1z1) % p
-        if not rs1:
-            return None
-        inv = pow(r * rs1 % p, -1, p)
-        irs1 = r * inv % p
-        sigma = (w0 * y0 + c0 * w1z1) % p * irs1 % p  # r*s0 / r*s1
-        lam = r * irs1 % p
-        s1 = rs1 * rs1 * inv % p
-        e1 = (sigma + sigma + z1 - lam * lam) % p
-        e0 = sigma * (sigma + z1 + z1) + y0
-        e0 = (e0 + lam * (b1 + b1 + lam * (a1 + c1 - self._fraw[4]))) % p
-        g1, g0 = a1 - e1, a0 - e0
-        n1 = (s1 * (g1 * (e1 - sigma) - g0) - b1) % p
-        n0 = (s1 * (g1 * e0 - sigma * g0) - b0) % p
-        if n1:
-            return [e0, e1, 1], [n0, n1]
-        return [e0, e1, 1], [n0] if n0 else []
-
-    def _double_prime_raw(self, u, v) -> tuple[list, list] | None:
-        """Closed-form double of a weight-2 class over F_p, or None when
-        the generic formulas do not apply; as _add_prime_raw, with s the
-        linear polynomial that makes V = v + s*u satisfy V^2 == f mod u^2,
-        which applies when Res(u, 2*v) != 0 and s1 != 0."""
-        p = self.field.p
-        _, _, f2, f3, f4, _ = self._fraw
-        a0, a1, _ = u
-        b0 = v[0] if v else 0
-        b1 = v[1] if len(v) > 1 else 0
-        # s = w * (2v)^-1 mod u with w = ((f - v^2)/u) mod u, and
-        # v^-1 == (-b1*x + y0)/r mod u; the factor 2 goes into r
-        k2 = f4 - a1
-        k1 = f3 - a0 - a1 * k2
-        t = k2 - a1
-        w1 = (k1 - a0 - t * a1) % p
-        w0 = (f2 - b1 * b1 - a1 * k1 - a0 * k2 - t * a0) % p
-        y0 = b0 - a1 * b1
-        r = (b0 * y0 + a0 * b1 * b1) % p
-        if not r:
-            return None
-        r += r
-        w1b1 = w1 * b1
-        rs1 = (w1 * y0 - w0 * b1 + a1 * w1b1) % p
-        if not rs1:
+        # v1 = b1*x + b0: an unpack costs less than a len test, and deg v1 < 1 is rare
+        try:
+            b0, b1 = v1
+        except ValueError:
+            b0, b1 = (v1[0] if v1 else 0), 0
+        double = u1 == u2 and v1 == v2
+        if double:  # v1^-1 == (-b1*x + y0)/r mod u1; z's factor 2 goes into r
+            _, _, f2, f3, _, _ = self._fraw
+            k2 = f4 - a1
+            k1 = f3 - a0 - a1 * k2
+            t = k2 - a1
+            w1 = (k1 - a0 - t * a1) % p
+            w0 = (f2 - b1 * b1 - a1 * k1 - a0 * k2 - t * a0) % p
+            y0 = b0 - a1 * b1
+            r = (b0 * y0 + a0 * b1 * b1) % p * 2
+            w1b1 = w1 * b1
+            rs1 = (w1 * y0 - w0 * b1 + a1 * w1b1) % p
+            rs0 = (w0 * y0 + a0 * w1b1) % p
+        else:  # z = u1 mod u2 = z1*x + z0, z^-1 == (-z1*x + y0)/r mod u2
+            c0, c1, _ = u2
+            w0 = (v2[0] if v2 else 0) - b0
+            w1 = (v2[1] if len(v2) > 1 else 0) - b1
+            z1, z0 = a1 - c1, a0 - c0
+            y0 = z0 - c1 * z1
+            r = (z0 * y0 + c0 * z1 * z1) % p
+            w1z1 = w1 * z1
+            rs1 = (w1 * y0 - w0 * z1 + c1 * w1z1) % p
+            rs0 = (w0 * y0 + c0 * w1z1) % p
+        if not (r and rs1):
             return None
         inv = pow(r * rs1 % p, -1, p)
         irs1 = r * inv % p
-        sigma = (w0 * y0 + a0 * w1b1) % p * irs1 % p
+        sigma = rs0 * irs1 % p
         lam = r * irs1 % p
         s1 = rs1 * rs1 * inv % p
-        e1 = (sigma + sigma - lam * lam) % p
-        e0 = (sigma * sigma + lam * (b1 + b1 + lam * (a1 + a1 - f4))) % p
+        if double:  # the add's terms in u1 - u2 vanish
+            e1 = (sigma + sigma - lam * lam) % p
+            e0 = (sigma * sigma + lam * (b1 + b1 + lam * (a1 + a1 - f4))) % p
+        else:
+            e1 = (sigma + sigma + z1 - lam * lam) % p
+            e0 = sigma * (sigma + z1 + z1) + y0
+            e0 = (e0 + lam * (b1 + b1 + lam * (a1 + c1 - f4))) % p
         g1, g0 = a1 - e1, a0 - e0
         n1 = (s1 * (g1 * (e1 - sigma) - g0) - b1) % p
         n0 = (s1 * (g1 * e0 - sigma * g0) - b0) % p
@@ -448,7 +427,7 @@ class HyperellipticCurve:
 
     def neg(self, D: MumfordDivisor) -> MumfordDivisor:
         self._require_valid(D)
-        return MumfordDivisor(D.u, D.v._wrap(raw_neg(self.field, D.v.coeffs)))
+        return self._wrap_divisor(list(D.u.coeffs), raw_neg(self.field, D.v.coeffs))
 
     def scalar_mul(self, D: MumfordDivisor, m: int) -> MumfordDivisor:
         """m*D, right to left over the non-adjacent form (NAF) of m: signed
@@ -467,7 +446,7 @@ class HyperellipticCurve:
         EUROCRYPT '92; Menezes et al., Handbook of Applied Cryptography
         14.6.3).  D and m are checked here, once; every composition runs
         through _cantor_raw, which falls back to Cantor's algorithm where
-        the closed forms do not apply, such as a running sum equal to
+        the closed form does not apply, such as a running sum equal to
         minus the next term."""
         if type(m) is not int:
             raise NegativeScalarError(f"scalar must be an int, got {m!r}")

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Validation failures subclass ValueError so callers that predate these
-types keep working; everything shares the XjacError root so the CLI can
-map library failures onto exit codes in one place.
+Every type derives from XjacError, and every validation failure also
+from ValueError.  cli.main maps ConfigError, any other ValueError and
+OSError to exit 2 and BudgetExceededError, which is no ValueError, to
+exit 3; it does not catch XjacError itself.
 """
 
 

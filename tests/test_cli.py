@@ -707,6 +707,17 @@ class TestConfigFile:
         assert err == f"error: --out {missing}: no such directory\n"
         assert os.listdir(cache_dir) == []
 
+    def test_out_naming_a_directory_checked_before_any_work(self, capsys, tmp_path):
+        """An --out that names an existing directory exits 2 up front: no
+        report on stdout and no cache file written."""
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        code, out, err = run(capsys, ["jacobian", *F7_ARGS, "--out", str(tmp_path),
+                                      "--cache-dir", str(cache_dir)])
+        assert (code, out) == (2, "")
+        assert err == f"error: --out {tmp_path}: is a directory\n"
+        assert os.listdir(cache_dir) == []
+
     def test_null_value_counts_as_not_given(self, capsys, tmp_path):
         path = tmp_path / "nulls.json"
         path.write_text(json.dumps(

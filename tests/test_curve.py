@@ -409,11 +409,8 @@ class TestClosedForm:
             D = curve._wrap_divisor(*got)
             assert D == rebuilt(D), (A, B)
             if curve._prime and A.weight == B.weight == 2:
-                # the form _cantor_raw takes: the double on equal operands
-                if A == B:
-                    out = curve._double_prime_raw(*args[:2])
-                else:
-                    out = curve._add_prime_raw(*args)
+                # the form _cantor_raw takes, the double on equal operands
+                out = curve._weight2_prime_raw(*args)
                 if out is not None:
                     assert out == want, (A, B)
                     closed += 1
@@ -421,8 +418,8 @@ class TestClosedForm:
 
     def test_closed_form_on_prime_fields_only(self, c7, c9, general_calls):
         """A generic add and a generic double reach Cantor's algorithm
-        never over F_7, where each closed form takes its own case, and
-        once each over F_9."""
+        never over F_7, where the closed form takes both, and once each
+        over F_9."""
         calls, oracle = general_calls
         for curve, reach in ((c7, 0), (c9, 1)):
             K = curve.field
@@ -447,8 +444,8 @@ class TestClosedForm:
                 assert curve._cantor_raw(*args) == oracle(curve, *args)
                 assert len(calls) == before + reach, (curve, args)
             if curve._prime:
-                assert curve._add_prime_raw(*add) == oracle(curve, *add)
-                assert curve._double_prime_raw(*double[:2]) == oracle(curve, *double)
+                assert curve._weight2_prime_raw(*add) == oracle(curve, *add)
+                assert curve._weight2_prime_raw(*double) == oracle(curve, *double)
 
     @pytest.mark.parametrize("name", ["c7", "c9"])
     def test_every_pair_and_doubling(self, name, request):
