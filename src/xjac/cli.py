@@ -16,7 +16,8 @@ One argparse parser types, defaults and checks every option.  A --config
 file is read as the flags it stands for, placed before the command
 line's own, so flags win.  Options, --out's directory included, are
 checked before any work or cache lookup, and so is the work cap
---budget, judged here alone on each command's estimate:
+--budget, judged here alone on each command's estimate, a closed form
+of its options, before anything it prices is built:
 (sqrt(q) + 1)^4 classes for jacobian, extract-sd and each sweep curve,
 and also the sample count for a Monte-Carlo extract-sd, the character
 evaluations for charsum.
@@ -150,10 +151,7 @@ def _require(args: argparse.Namespace, key: str):
 
 
 def build_field(args: argparse.Namespace) -> FiniteField:
-    p = _require(args, "p")
-    if args.modulus is not None:
-        return FiniteField(p, args.n, tuple(args.modulus))
-    return finite_field(p, args.n)
+    return finite_field(_require(args, "p"), args.n, args.modulus)
 
 
 def _require_budget(what: str, est: int, budget: int) -> None:
@@ -425,17 +423,7 @@ def cmd_charsum(args: argparse.Namespace) -> int:
     p = _require(args, "p")
 
     rows: list[dict] = []
-    base = {
-        "schema": SCHEMA_VERSION,
-        "command": "charsum",
-        "mode": mode,
-        "p": p,
-        "a": None,
-        "poly": None,
-        "basis": None,
-        "L": None,
-        "expected": None,
-    }
+    base = {"schema": SCHEMA_VERSION, "command": "charsum", "mode": mode, "p": p}
     t0 = time.perf_counter()
 
     if mode == "interval":
@@ -446,10 +434,9 @@ def cmd_charsum(args: argparse.Namespace) -> int:
         L_single = args.L
         if L_single is not None and not 1 <= L_single <= p:
             raise ConfigError(f"L must be in [1, {p}], got {L_single}")
-        Ls = [L_single] if L_single is not None else list(range(1, p + 1))
         # the running sums cost p terms per L up to the largest L
-        _require_budget(evals, p * max(Ls), args.budget)
-        for L in Ls:
+        _require_budget(evals, p * (L_single or p), args.budget)
+        for L in range(1, p + 1) if L_single is None else (L_single,):
             rep = interval_char_sum(p, L)
             rows.append(
                 base | vars(rep) | {
@@ -467,15 +454,16 @@ def cmd_charsum(args: argparse.Namespace) -> int:
             est = q * q
         elif mode == "mordell":
             est = q**3 * (q - 1)
-        else:  # winterhof: one --basis, or every subset of 0..n-1
-            if args.basis is not None:
-                bases = [tuple(sorted(args.basis))]
-            else:
-                bases = [
-                    tuple(i for i in range(field.n) if mask >> i & 1)
-                    for mask in range(2**field.n)
-                ]
-            est = sum(q * field.p ** len(b) for b in bases)
+        elif args.basis is not None:  # winterhof over one basis
+            bases = [tuple(sorted(args.basis))]
+            est = q * field.p ** len(bases[0])
+        else:  # winterhof over every subset b of 0..n-1, made one at a time
+            bases = (
+                tuple(i for i in range(field.n) if mask >> i & 1)
+                for mask in range(2**field.n)
+            )
+            # the sum of q * p^|b| over those b, by the binomial theorem
+            est = q * (field.p + 1) ** field.n
         _require_budget(evals, est, args.budget)
         base |= {"n": field.n, "q": q}
         if mode == "orthogonality":
@@ -544,17 +532,22 @@ def cmd_charsum(args: argparse.Namespace) -> int:
 
 def _resolve_template(field: FiniteField, template: str, c: int | None) -> HyperellipticCurve:
     """Instantiate an f template over the field; a bare `c` token is the
-    swept coefficient, advanced to the next value that gives a squarefree f."""
+    swept coefficient, advanced to the next value that gives a squarefree f.
+
+    disc(f_c) has degree <= 8 in c (the discriminant of a monic quintic
+    is a polynomial of degree 8 in its coefficients), so unless it
+    vanishes for every c, one of any 9 distinct c is squarefree: the
+    first min(q, 9) tries find the c a scan of all q values finds."""
     if c is None:
         return HyperellipticCurve(field, template)
     tokens = [t.strip() for t in template.split(",")]
-    cur = c % field.q
-    for _ in range(field.q):
+    for i in range(min(field.q, 9)):
+        cur = (c + i) % field.q
         fstr = ",".join(str(cur) if t == "c" else t for t in tokens)
         try:
             return HyperellipticCurve(field, fstr)
         except NotSquarefreeError:
-            cur = (cur + 1) % field.q
+            pass
     raise ConfigError(
         f"no squarefree instance of template {template!r} over F_{field.q}"
     )
@@ -589,27 +582,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     rows: list[dict] = []
-    warnings = 0
     for field, c in zip(fields, cs):
         curve = _resolve_template(field, template, c)
-        try:
-            _require_budget(_CLASSES, curve.weil_interval()[1], args.budget)
-        except BudgetExceededError:
-            for kind in kinds:
-                for k in ks:
-                    warnings += 1
-                    rows.append(
-                        _extract_cell("sweep", curve, kind, k)
-                        | {"status": "budget_exceeded"}
-                    )
-            continue
-        for kind in kinds:
-            for k in ks:
-                rows.append(
-                    _extract_row(curve, kind, k, "exact", None, None, "sweep")
-                )
+        # the class count jacobian and extract-sd judge; a curve over
+        # budget marks its cells instead of ending the sweep
+        over = curve.weil_interval()[1] > args.budget
+        rows += [
+            _extract_cell("sweep", curve, kind, k) | {"status": "budget_exceeded"}
+            if over
+            else _extract_row(curve, kind, k, "exact", None, None, "sweep")
+            for kind in kinds
+            for k in ks
+        ]
 
     ok_rows = [r for r in rows if r["status"] == "ok"]
+    warnings = len(rows) - len(ok_rows)
 
     def _max(key):
         vals = [r[key] for r in ok_rows if r.get(key) is not None]

@@ -18,11 +18,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .curve import HyperellipticCurve, MumfordDivisor
-from .errors import (
-    InvalidDivisorError,
-    KOutOfRangeError,
-    RequiresPrimeFieldError,
-)
+from .errors import KOutOfRangeError, RequiresPrimeFieldError
 from .field import FiniteField
 
 
@@ -58,8 +54,7 @@ def max_k(kind: ExtractorKind, field: FiniteField) -> int:
 def _scalar_value(curve: HyperellipticCurve, D: MumfordDivisor, product: bool) -> int:
     """Field element an extractor reads off D: the sum or the product of
     the x-coordinates in its support (0 for the neutral class)."""
-    if not curve.is_valid_divisor(D):
-        raise InvalidDivisorError(f"{D!r} is not a divisor on {curve!r}")
+    curve._require_valid(D)
     K = curve.field
     w = D.weight
     if w == 0:

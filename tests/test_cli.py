@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,6 +22,7 @@ from xjac.cli import (
     render_json,
 )
 from xjac.curve import HyperellipticCurve
+from xjac.errors import ConfigError, NotSquarefreeError
 from xjac.field import finite_field
 from xjac.stats import RandomSource
 
@@ -334,11 +336,16 @@ class TestCharsum:
         (row,) = rows_of(out)
         assert row["basis"] == "0" and row["status"] == "pass"
 
+    # without --basis, winterhof charges q * p^|b| summed over every subset
+    # b of 0..n-1, which is q * (p + 1)^n: 27 * 4^3 and 25 * 6^2
     @pytest.mark.parametrize("argv, est", [
         (["--mode", "orthogonality", "--p", "3", "--n", "2", "--budget", "80"], 81),
         (["--mode", "winterhof", "--p", "3", "--n", "3", "--basis", "0,1,2",
           "--budget", "100"], 729),
-    ], ids=["orthogonality", "winterhof"])
+        (["--mode", "winterhof", "--p", "3", "--n", "3", "--budget", "100"], 1728),
+        (["--mode", "winterhof", "--p", "5", "--n", "2", "--budget", "100"], 900),
+    ], ids=["orthogonality", "winterhof", "winterhof-all-subsets-F27",
+            "winterhof-all-subsets-F25"])
     def test_over_budget_exits_3(self, capsys, argv, est):
         code, out, err = run(capsys, ["charsum", *argv])
         assert code == 3 and out == ""
@@ -346,6 +353,27 @@ class TestCharsum:
             f"error: charsum mode {argv[1]} needs about {est} character evaluations, "
             f"budget is {argv[-1]}\n"
         )
+
+    @pytest.mark.parametrize("argv, est", [
+        (["--mode", "interval", "--p", "4000037"], 16000296001369),
+        (["--mode", "winterhof", "--p", "3", "--n", "18"], 26623333280885243904),
+    ], ids=["interval", "winterhof-all-subsets"])
+    def test_over_budget_builds_nothing_first(self, capsys, argv, est):
+        """The estimate is a closed form of the options: neither the p
+        lengths L nor the 2^n subsets are built before the budget is
+        judged, so the run exits 3 having allocated under 1 MB."""
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["charsum", *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err == (
+            f"error: charsum mode {argv[1]} needs about {est} character evaluations, "
+            "budget is 1000000\n"
+        )
+        assert peak < 2**20
 
     def test_winterhof_non_integer_basis(self, capsys):
         code, out, err = run(capsys, ["charsum", "--mode", "winterhof", "--p", "3",
@@ -489,6 +517,70 @@ class TestSweep:
                                     "--extractor", "sum", "--k", "1"])
         assert code == 0
         assert rows_of(out)[0]["f"] == "1,0,0,0,0,1"
+
+    def test_template_without_squarefree_instance_stops_after_9_tries(
+        self, capsys, monkeypatch
+    ):
+        """x^5 + c*x^2 has the double root 0 for every c; the search gives
+        up after 9 values of c, not after all q."""
+        built = []
+
+        def counting(field, f):
+            built.append(f)
+            return HyperellipticCurve(field, f)
+
+        monkeypatch.setattr(cli, "HyperellipticCurve", counting)
+        code, out, err = run(capsys, ["sweep", "--p", "100003", "--f", "0,0,c,0,0,1",
+                                      "--c", "1", "--extractor", "sum"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: no squarefree instance of template '0,0,c,0,0,1' over F_100003\n"
+        )
+        assert len(built) <= 9
+
+    @staticmethod
+    def full_scan(field, tokens, c):
+        """The first c' = c, c + 1, ... (mod q) over all q values whose
+        instance is squarefree, or None."""
+        for i in range(field.q):
+            cur = (c + i) % field.q
+            try:
+                HyperellipticCurve(field, ",".join(str(cur) if t == "c" else t
+                                                   for t in tokens))
+                return cur
+            except NotSquarefreeError:
+                pass
+        return None
+
+    def test_template_search_finds_the_full_scan_c(self):
+        """Seeded templates, some starting at a c whose discriminant
+        vanishes and one with no squarefree instance: the bounded search
+        resolves each to the instance a scan of all q values finds."""
+        rng = random.Random(29)
+        cases = [((7, 1), "c,0,0,0,0,1", 0), ((3, 1), "0,0,c,0,0,1", 2),
+                 ((11, 1), "0,0,c,0,0,1", 5), ((3, 2), "c,0,0,0,0,1", 9)]
+        for _ in range(150):
+            p, n = rng.choice([(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2)])
+            q = p**n
+            tokens = [str(rng.randrange(q)) for _ in range(5)] + ["1"]
+            for i in rng.sample(range(5), rng.randint(1, 3)):
+                tokens[i] = "c"
+            cases.append(((p, n), ",".join(tokens), rng.randrange(2 * q)))
+        skipped = 0
+        for (p, n), template, c in cases:
+            field = finite_field(p, n)
+            tokens = template.split(",")
+            want = self.full_scan(field, tokens, c)
+            if want is None:
+                with pytest.raises(ConfigError, match="no squarefree instance"):
+                    cli._resolve_template(field, template, c)
+                continue
+            skipped += want != c % field.q
+            curve = cli._resolve_template(field, template, c)
+            assert curve.f.to_string() == ",".join(
+                str(want) if t == "c" else t for t in tokens
+            ), (p, n, template, c)
+        assert skipped >= 10
 
     @pytest.mark.parametrize("f, c, message", [
         ("1,0,0,0,0,1", ["--c", "3"],
