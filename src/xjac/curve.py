@@ -32,11 +32,10 @@ f == r1*x + r0 and v = c*x + d, u | v^2 - f reads 2cd - a*c^2 = r1 and
 d^2 - b*c^2 = r0, so checking a divisor costs O(1) field operations and
 enumerating the Jacobian solves a quadratic for c^2 per u, O(q^2) in all.
 
-The extractors read a class only through u, so _class_table holds
+The extractors read a class only through u, so value_counts counts
 #v(u), the number of reduced [u, v], for every monic u of degree 1 or 2
-in enumeration order, without building any class, and value_counts adds
-it up by sum and by product of abscissas.  #v(u) is (Cantor, Math.
-Comp. 48, 1987)
+and adds it up by sum and by product of abscissas, without building any
+class.  #v(u) is (Cantor, Math. Comp. 48, 1987)
 
     deg u = 0:                 1 (the neutral class)
     u = x - x1:                w1[x1] = #sqrt(f(x1))
@@ -48,9 +47,14 @@ where u = x^2 + a*x + b is irreducible when a^2 - 4b is a nonsquare (q
 odd), and r0^2 - a*r0*r1 + b*r1^2 is the norm to F_q of f(theta) for a
 root theta of u in F_q^2: v(theta) is a square root of f(theta) there,
 and an element of F_q^2 is a square exactly when its norm is a square in
-F_q.  For fixed a, r1 and r0 are quadratics in b and the norm a quintic
-N_a(b), built once per a: the table costs O(q^2) field operations once
-per curve and keeps q^2 + q bytes.
+F_q.  For fixed a, r1 and r0 are quadratics in b and the norm a monic
+quintic N_a(b), built once per a, so counting costs O(q^2) field
+operations once per curve.  Over F_p it runs on plain ints with % p and
+keeps O(q) memory: a loop over the pairs of roots x1 < x2 and Horner on
+N_a at b = h^2 - d for each nonsquare d (_count_prime).  _class_table
+keeps #v(u) for every u in enumeration order, q^2 + q bytes: it counts
+over extension fields, places Monte-Carlo draws by class index, and is
+the tests' oracle for the prime route.
 """
 
 from __future__ import annotations
@@ -578,25 +582,84 @@ class HyperellipticCurve:
         return self._jacobian
 
     def value_counts(self) -> ValueCounts:
-        """|J| and the classes per sum and per product of abscissas, added
-        up over _class_table; no divisor is built."""
-        if self._counts is not None:
-            return self._counts
+        """|J| and the classes per sum and per product of abscissas: on
+        plain ints in O(q) memory over F_p (_count_prime), added up over
+        the per-u _class_table, which also serves Monte-Carlo, over an
+        extension field; no divisor is built."""
+        if self._counts is None:
+            self._counts = self._count_prime() if self._prime else self._count_table()
+        return self._counts
+
+    def _count_table(self) -> ValueCounts:
         q, neg = self.field.q, self.field._neg
         T = self._class_table()
         # x - x1 sits at x1, and x1 is its sum and its product; x^2 + a*x + b
         # sits at q + b*q + a, a row per b and a column per sum -a
         sums = tuple(T[x] + sum(T[q + neg(x) :: q]) for x in range(q))
         products = tuple(T[b] + sum(T[q + b * q : 2 * q + b * q]) for b in range(q))
-        self._counts = ValueCounts(1 + sum(T), sums, products)
-        return self._counts
+        return ValueCounts(1 + sum(T), sums, products)
+
+    def _count_prime(self) -> ValueCounts:
+        """value_counts over F_p in O(p) memory: #v(u) from the module
+        docstring's table, added at u's sum and product of roots as each
+        u is met, on plain ints with % p."""
+        p = self.field.p
+        f0, f1, f2, f3, f4, _ = self._fraw
+        nsqrt = bytearray(p)  # #sqrt(r)
+        for y in range(1, (p + 1) // 2):
+            nsqrt[y * y % p] = 2
+        nsqrt[0] = 1
+        w1 = [nsqrt[(((((x + f4) * x + f3) * x + f2) * x + f1) * x + f0) % p] for x in range(p)]
+        # x - x1: sum and product x1
+        sums, products = w1[:], w1[:]
+        # (x - x1)(x - x2) for x1 < x2, and (x - x1)^2
+        roots = [x for x in range(p) if w1[x]]
+        for i, x1 in enumerate(roots):
+            w = w1[x1]
+            for x2 in roots[i + 1 :]:
+                n = w * w1[x2]
+                sums[(x1 + x2) % p] += n
+                products[x1 * x2 % p] += n
+            if w == 2:
+                sums[2 * x1 % p] += 2
+                products[x1 * x1 % p] += 2
+        # irreducible x^2 + a*x + b = (x - h)^2 - d, h = -a/2 and d a
+        # nonsquare, so b = h^2 - d: its sum is -a, its product b
+        nonsquares = [d for d in range(1, p) if not nsqrt[d]]
+        half = (p + 1) // 2
+        for a in range(p):
+            # N_a(b) = r0*(r0 - a*r1) + b*r1^2, where _f_mod_quadratic's
+            # steps give r1 = b^2 + s1*b + s0 and r0 = t2*b^2 + t1*b + f0:
+            # N_a is monic
+            k2 = f4 - a
+            k3 = f3 - a * k2
+            k4 = f2 - a * k3
+            m = a - k2
+            s0 = (f1 - a * k4) % p
+            s1 = -(k3 + a * m) % p
+            t1, t2 = -k4 % p, -m % p
+            g0, g1, g2 = f0 - a * s0, t1 - a * s1, t2 - a  # r0 - a*r1
+            n0 = f0 * g0 % p
+            n1 = (f0 * g1 + t1 * g0 + s0 * s0) % p
+            n2 = (f0 * g2 + t1 * g1 + t2 * g0 + 2 * s0 * s1) % p
+            n3 = (t1 * g2 + t2 * g1 + s1 * s1 + 2 * s0) % p
+            n4 = (t2 * g2 + 2 * s1) % p
+            hh = (a * half % p) ** 2
+            total = 0
+            for d in nonsquares:
+                b = (hh - d) % p
+                n = nsqrt[(((((b + n4) * b + n3) * b + n2) * b + n1) * b + n0) % p]
+                products[b] += n
+                total += n
+            sums[-a % p] += total
+        return ValueCounts(1 + sum(sums), tuple(sums), tuple(products))
 
     def _class_table(self) -> bytes:
         """#v(u) for every monic u of degree 1 or 2 in enumerate_jacobian's
         order (the classes of one u are contiguous there): x - x1 at x1,
         x^2 + a*x + b at q + b*q + a.  #v(u) from the table in the module
         docstring, an irreducible u's norm from the quintic N_a(b); built
-        once per curve."""
+        once per curve, for extension-field counts and Monte-Carlo draws."""
         if self._table is not None:
             return self._table
         K = self.field
@@ -636,7 +699,11 @@ class HyperellipticCurve:
         return self._table
 
     def jacobian_order(self) -> int:
-        """|J|, counted (value_counts), not enumerated."""
+        """|J|, counted, not enumerated: 1 + sum(_class_table) once a
+        Monte-Carlo tally has built the table, so that a prime curve is
+        not counted twice; value_counts().order otherwise."""
+        if self._counts is None and self._table is not None:
+            return 1 + sum(self._table)
         return self.value_counts().order
 
     # -- identity -------------------------------------------------------------

@@ -6,14 +6,16 @@ at the reporting edge.  Sampling uses a counter-based splitmix64 stream
 with rejection, so runs are reproducible across platforms from a seed.
 
 Neither distribution builds a divisor: extractors read a class [u, v]
-only through u (the sum -u1 or the product u0 of its abscissas).  The
-curve's _class_table holds #v(u), its number of classes (Cantor, Math.
-Comp. 48, 1987), for every monic u of degree 1 or 2 in
-enumerate_jacobian's canonical order: one O(q^2) walk per curve, kept
-as q^2 + q bytes.  An exact tally adds up value_counts, that table
-summed by value, shared by every (extractor, k); a Monte-Carlo tally
-expands the table into one outcome per class index and reads the drawn
-indices from it.  The enumeration stays the tests' oracle for both.
+only through u (the sum -u1 or the product u0 of its abscissas), and
+#v(u) is its number of classes (Cantor, Math. Comp. 48, 1987).  An exact
+tally adds up value_counts, #v(u) summed by value in one O(q^2) count
+per curve shared by every (extractor, k): on plain ints in O(q) memory
+over a prime field, from the per-u table over an extension field.  A
+Monte-Carlo tally reads the curve's _class_table, #v(u) for every monic
+u of degree 1 or 2 in enumerate_jacobian's canonical order (q^2 + q
+bytes), takes |J| as 1 + its sum, expands it into one outcome per class
+index and reads the drawn indices from it.  The enumeration stays the
+tests' oracle for both.
 """
 
 from __future__ import annotations
@@ -234,7 +236,8 @@ def monte_carlo_distribution(
     q, neg = field.q, field._neg
     zero = outcome_index(kind, field.p, extract(curve, curve.zero(), kind, k))
     m = outcome_count(kind, field, k)
-    draws = RandomSource(seed).below(curve.jacobian_order(), samples)
+    table = curve._class_table()
+    draws = RandomSource(seed).below(curve.jacobian_order(), samples)  # 1 + sum(table)
     # x - x1 at position x1 gives x1; x^2 + a*x + b at q + b*q + a gives b
     # (product) or -a (sum), so the quadratics run a row of q per b
     if kind.uses_product:
@@ -242,7 +245,7 @@ def monte_carlo_distribution(
     else:
         quadratics = chain.from_iterable(repeat([neg(a) % m for a in range(q)], q))
     outcomes = chain([x % m for x in range(q)], quadratics)
-    per_class = [zero, *chain.from_iterable(map(repeat, outcomes, curve._class_table()))]
+    per_class = [zero, *chain.from_iterable(map(repeat, outcomes, table))]
     return Tally.from_outcomes(m, map(per_class.__getitem__, draws))
 
 

@@ -57,3 +57,18 @@ def c13(F13):
 def c27(F27):
     """y^2 = x^5 + x, the lexicographically first squarefree quintic."""
     return HyperellipticCurve(F27, "0,1,0,0,0,1")
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The curves whose _class_table gets built, one entry per build."""
+    builds = []
+    class_table = HyperellipticCurve._class_table
+
+    def counting_table(self):
+        if self._table is None:
+            builds.append(self)
+        return class_table(self)
+
+    monkeypatch.setattr(HyperellipticCurve, "_class_table", counting_table)
+    return builds

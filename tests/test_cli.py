@@ -225,7 +225,9 @@ class TestExtractSD:
         def no_count(curve):
             raise AssertionError("counted past the budget")
 
+        # an exact count over F_p needs no table: both routes are forbidden
         monkeypatch.setattr(HyperellipticCurve, "_class_table", no_count)
+        monkeypatch.setattr(HyperellipticCurve, "value_counts", no_count)
         code, out, err = run(capsys, ["extract-sd", "--p", "1009", "--f", "1,3,0,0,0,1",
                                       "--extractor", "sum", "--k", "1", *mode_args])
         assert code == 3 and out == ""
@@ -242,6 +244,7 @@ class TestExtractSD:
             raise AssertionError("counted or drew past the budget")
 
         monkeypatch.setattr(HyperellipticCurve, "_class_table", fail)
+        monkeypatch.setattr(HyperellipticCurve, "value_counts", fail)
         monkeypatch.setattr(RandomSource, "below", fail)
         code, out, err = run(capsys, ["extract-sd", *F7_ARGS, "--extractor", "sum", "--k", "1",
                                       "--mode", "montecarlo", "--samples", samples,

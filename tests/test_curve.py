@@ -5,7 +5,8 @@ algorithm), scalar multiplication (the signed-digit ladder against a
 binary one and repeated addition, on fresh and remembered doubling
 chains, which stay bounded and per curve), Jacobian enumeration (cross-checked
 against naive and O(q^3) scan oracles and the zeta-function identity for
-#J) and the counted runs of classes per u."""
+#J), the counted runs of classes per u, and the prime-field count on
+ints against the per-u table."""
 
 import itertools
 
@@ -925,6 +926,55 @@ class TestEnumeration:
         floats gave hi one short at p = 1014817 and lo one over at 3^17."""
         K = finite_field(p, n)
         assert HyperellipticCurve(K, find_squarefree_quintic(K)).weil_interval() == (lo, hi)
+
+
+def with_factor(K, factor):
+    """A squarefree monic quintic over K that factor (monic, low degree
+    first) divides: factor * (x^k + c) for the smallest c that works."""
+    k = 6 - len(factor)
+    for c in range(K.q):
+        try:
+            return HyperellipticCurve(K, raw_mul(K, factor, [c] + [0] * (k - 1) + [1]))
+        except NotSquarefreeError:
+            pass
+    raise AssertionError(f"no squarefree multiple of {factor} over {K!r}")
+
+
+class TestPrimeCount:
+    """value_counts over F_p counts on ints in O(p) memory; the per-u
+    table (_count_table) is its oracle."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 101])
+    def test_equals_table_walk(self, p):
+        K = finite_field(p)
+        for seed in range(4 if p < 20 else 2):
+            curve = seeded_quintic(K, 7000 + 10 * p + seed)
+            assert curve._count_prime() == curve._count_table(), curve.f
+
+    @pytest.mark.parametrize("p", [7, 11, 31])
+    @pytest.mark.parametrize("factor, row", [
+        ([0, 1], 0),  # x: w1[0] = 1
+        ([1, 0, 1], 2),  # x^2 + 1, irreducible as p = 3 mod 4: norm 0
+    ], ids=["linear", "irreducible-quadratic"])
+    def test_factor_of_f_carries_one_class(self, p, factor, row):
+        """u | f carries the one class [u, 0]; u sits at row * p in the
+        table (x^2 + a*x + b at p + b*p + a)."""
+        curve = with_factor(finite_field(p), factor)
+        assert curve._class_table()[row * p] == 1
+        assert curve._count_prime() == curve._count_table()
+
+    def test_prime_counts_build_no_table(self, table_builds):
+        curve = seeded_quintic(finite_field(67), 67)
+        assert curve.jacobian_order() == curve.value_counts().order
+        assert table_builds == [] and curve._table is None
+
+    @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)])
+    def test_extension_fields_build_the_table_once(self, table_builds, p, n):
+        curve = seeded_quintic(finite_field(p, n), 10 * p + n)
+        curve.value_counts()
+        curve.jacobian_order()
+        curve._class_table()
+        assert table_builds == [curve]
 
 
 class TestGroupLaws:

@@ -366,32 +366,27 @@ class TestCountedTally:
             exact_output_distribution(curve, kind, 1)
         assert curve._jacobian is None and curve._counts is not None
 
-    @staticmethod
-    def count_table_builds(monkeypatch):
-        builds = []
-        class_table = HyperellipticCurve._class_table
-
-        def counting_table(self):
-            if self._table is None:
-                builds.append(self)
-            return class_table(self)
-
-        monkeypatch.setattr(HyperellipticCurve, "_class_table", counting_table)
-        return builds
-
-    def test_one_counting_pass_per_curve(self, monkeypatch):
+    def test_one_counting_pass_per_curve(self, monkeypatch, table_builds):
         curve = fresh_curve(11, 1, "1,1,0,0,0,1")
-        builds = self.count_table_builds(monkeypatch)
+        passes = []
+        count_prime = HyperellipticCurve._count_prime
+
+        def counting_prime(self):
+            passes.append(self)
+            return count_prime(self)
+
+        monkeypatch.setattr(HyperellipticCurve, "_count_prime", counting_prime)
         for kind in ExtractorKind:
             for k in range(1, max_k(kind, curve.field) + 1):
                 exact_output_distribution(curve, kind, k)
-        # one walk over the u, shared by every (kind, k)
-        assert builds == [curve]
+        # one count over the u on ints, shared by every (kind, k); over F_p
+        # no per-u table is built
+        assert passes == [curve]
+        assert table_builds == [] and curve._table is None
 
     @pytest.mark.parametrize("first", ["exact", "montecarlo"])
-    def test_exact_and_monte_carlo_share_one_table(self, monkeypatch, first):
+    def test_exact_and_monte_carlo_share_one_table(self, table_builds, first):
         curve = fresh_curve(13, 1, "1,2,0,0,0,1")
-        builds = self.count_table_builds(monkeypatch)
         tallies = [
             lambda kind: exact_output_distribution(curve, kind, 1),
             lambda kind: monte_carlo_distribution(curve, kind, 1, 50, 3),
@@ -399,7 +394,7 @@ class TestCountedTally:
         for tally in tallies if first == "exact" else tallies[::-1]:
             for kind in ExtractorKind:
                 tally(kind)
-        assert builds == [curve]
+        assert table_builds == [curve]
 
     def test_errors_as_before_and_no_count(self):
         curve = fresh_curve(7, 1, "1,0,0,0,0,1")
@@ -535,10 +530,13 @@ class TestMonteCarloMemo:
             assert calls == [curve.zero()]
 
     def test_sampling_builds_no_divisor(self):
+        """Sampling reads the per-u table, and |J| from it: no divisor and
+        no second count on ints."""
         curve = fresh_curve(13, 1, "1,2,0,0,0,1")
         for kind in ExtractorKind:
             monte_carlo_distribution(curve, kind, 1, 1000, seed=4)
-        assert curve._jacobian is None and curve._counts is not None
+        assert curve._jacobian is None and curve._table is not None
+        assert curve._counts is None
 
     def test_errors_before_any_count(self):
         curve = fresh_curve(7, 1, "1,0,0,0,0,1")
