@@ -966,3 +966,32 @@ class TestOutputFormats:
 
     def test_no_subcommand(self, capsys):
         assert run(capsys, [])[0] == 2
+
+
+ERROR_LINES = [
+    (["jacobian", "--p", "9", "--f", "1,0,0,0,0,1"], "p=9 is not prime"),
+    (["jacobian", "--p", "2", "--f", "1,0,0,0,0,1"], "characteristic 2 is not supported"),
+    (["jacobian", "--p", "7", "--f", "0,0,0,0,0,1"], "f = x^5 has a repeated root"),
+    (["jacobian", "--p", "7", "--f", "1,0,0,0,1"], "deg f = 4, need exactly 5"),
+    (["jacobian", "--p", "7", "--f", "1,0,0,0,0,2"], "f must be monic"),
+    (["jacobian", "--p", "3", "--n", "2", "--modulus", "2,0,1", "--f", "1,0,0,0,0,1"],
+     "modulus (2, 0, 1) is reducible over F_3"),
+    (["jacobian", "--p", "7", "--f", "1,x,0,0,0,1"], "bad polynomial text '1,x,0,0,0,1'"),
+    (["jacobian", "--p", "3", "--n", "50", "--f", "1,0,0,0,0,1"],
+     "p**n = 717897987691852588770249 exceeds the supported range 2**63"),
+    (["charsum", "--mode", "winterhof", "--p", "3", "--n", "3", "--basis", "0,5"],
+     "basis must be distinct indices in [0, 3), got [0, 5]"),
+    (["charsum", "--mode", "interval", "--p", "7", "--n", "2"],
+     "interval sums are defined over prime fields (n = 1)"),
+    (["extract-sd", *F7_ARGS, "--extractor", "sum", "--k", "2"],
+     "k must be in [1, 1] for sum over F_7, got 2"),
+    (["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1", "--extractor", "sk", "--k", "1"],
+     "sk is defined over prime fields only, field has degree 2"),
+]
+
+
+@pytest.mark.parametrize("argv,message", ERROR_LINES, ids=[m for _, m in ERROR_LINES])
+def test_library_check_exits_2_with_its_message(capsys, argv, message):
+    """Each library check reaches stderr as its message alone, exit 2."""
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
