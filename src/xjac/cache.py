@@ -29,11 +29,14 @@ import sys
 from typing import Sequence
 
 from .curve import HyperellipticCurve, MumfordDivisor
-from .errors import CacheError, InvalidDivisorError
 from .field import FiniteField
 from .poly import Poly
 
 CACHE_VERSION = 2
+
+
+class CacheError(ValueError):
+    """A cache file exists but fails schema or consistency validation."""
 
 
 def modulus_string(field: FiniteField) -> str:
@@ -153,7 +156,7 @@ def load(cache_dir: str, curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...
         v = _decode_poly(curve, item[1], f"divisors[{i}].v")
         try:
             D = MumfordDivisor(u, v)
-        except InvalidDivisorError as exc:
+        except ValueError as exc:
             raise CacheError(f"cache {path}: divisors[{i}] is not reduced: {exc}") from exc
         if not curve.is_valid_divisor(D):
             raise CacheError(f"cache {path}: divisors[{i}] = {D} is invalid")

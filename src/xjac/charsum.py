@@ -19,13 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    BadSubgroupBasisError,
-    DegreeTooHighError,
-    FieldMismatchError,
-    LOutOfRangeError,
-    TrivialCharacterError,
-)
 from .field import FiniteField, is_prime
 from .poly import Poly, raw_eval
 
@@ -145,13 +138,13 @@ def poly_char_sum(field: FiniteField, P: Poly, a: int = 1) -> CharSumReport:
     """S = sum_x psi_a(P(x)) with the square-root cancellation bound
     d * q^(1 - 1/(2d)) for 1 <= d = deg P < p."""
     if P.field != field:
-        raise FieldMismatchError(f"P is over {P.field!r}, not {field!r}")
+        raise ValueError(f"P is over {P.field!r}, not {field!r}")
     field._check(a)
     if a == 0:
-        raise TrivialCharacterError("a = 0 gives the trivial character")
+        raise ValueError("a = 0 gives the trivial character")
     d = P.degree
     if not 1 <= d < field.p:
-        raise DegreeTooHighError(
+        raise ValueError(
             f"deg P = {d} outside [1, p) = [1, {field.p}) where the bound applies"
         )
     s = _poly_char_sum_raw(field, P.coeffs, a)
@@ -175,7 +168,7 @@ class AdditiveSubgroup:
         seen = set()
         for i in idx:
             if type(i) is not int or not 0 <= i < field.n or i in seen:
-                raise BadSubgroupBasisError(
+                raise ValueError(
                     f"basis must be distinct indices in [0, {field.n}), got {idx!r}"
                 )
             seen.add(i)
@@ -204,7 +197,7 @@ def winterhof_sum(field: FiniteField, subgroup: AdditiveSubgroup) -> CharSumRepo
     T <= q always; for the monomial-basis spans used here duality gives
     equality, which makes the law a sharp self-check."""
     if subgroup.field != field:
-        raise FieldMismatchError("subgroup belongs to a different field")
+        raise ValueError("subgroup belongs to a different field")
     q = field.q
     p, n, txk, roots = field.p, field.n, field._trace_powers(), _unit_roots(field.p)
     # Tr(a x^i) = sum_j a_j Tr(x^(i+j)) for every a, and V spans the x^i
@@ -238,9 +231,9 @@ def interval_char_sum(p: int, L: int) -> CharSumReport:
     the order of the direct per-L loop, so a sweep over every L costs p^2
     additions and each total is the same float as that loop's."""
     if type(p) is not int or p < 3 or not is_prime(p):
-        raise LOutOfRangeError(f"p must be a prime >= 3, got {p!r}")
+        raise ValueError(f"p must be a prime >= 3, got {p!r}")
     if type(L) is not int or not 1 <= L <= p:
-        raise LOutOfRangeError(f"L must be in [1, {p}], got {L!r}")
+        raise ValueError(f"L must be in [1, {p}], got {L!r}")
     sums, totals = _interval_sums(p)
     roots = _unit_roots(p)
     for x in range(len(totals), L):

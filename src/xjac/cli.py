@@ -25,6 +25,10 @@ Exit codes:
 0 success (warnings allowed), 1 a jacobian row whose status is fail or a
 charsum row whose status is not pass (the rows are still written),
 2 configuration/validation error, 3 budget exceeded.
+main maps each exception to one of these: BudgetExceededError, raised
+here alone and no ValueError, to 3; any ValueError (every option and
+library check raises one, its message naming the check) or OSError to
+2.  Either way stderr gets "error: " and the message, no class name.
 """
 
 from __future__ import annotations
@@ -46,8 +50,7 @@ from .charsum import (
     poly_char_sum,
     winterhof_sum,
 )
-from .curve import HyperellipticCurve
-from .errors import BudgetExceededError, ConfigError, NotSquarefreeError
+from .curve import HyperellipticCurve, NotSquarefreeError
 from .extractors import ExtractorKind, outcome_count
 from .field import FiniteField, finite_field, is_prime
 from .poly import Poly
@@ -118,15 +121,15 @@ def _config_flags(path: str, options: dict) -> list[str]:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     flags = []
     for key, val in data.items():
         if key not in options:
-            raise ConfigError(f"config file key {key!r} is not a known option")
+            raise ValueError(f"config file key {key!r} is not a known option")
         if val is None:
             continue
         flag, kind = options[key]
@@ -138,7 +141,7 @@ def _config_flags(path: str, options: dict) -> list[str]:
             want = "an integer" if kind is int else (
                 "a comma list" if kind in _LIST_TYPES else "a string"
             )
-            raise ConfigError(f"option {key!r} must be {want}, got {val!r}")
+            raise ValueError(f"option {key!r} must be {want}, got {val!r}")
         flags.append(f"{flag}={val}")
     return flags
 
@@ -146,12 +149,16 @@ def _config_flags(path: str, options: dict) -> list[str]:
 def _require(args: argparse.Namespace, key: str):
     val = getattr(args, key)
     if val is None:
-        raise ConfigError(f"missing required option --{key}")
+        raise ValueError(f"missing required option --{key}")
     return val
 
 
 def build_field(args: argparse.Namespace) -> FiniteField:
     return finite_field(_require(args, "p"), args.n, args.modulus)
+
+
+class BudgetExceededError(Exception):
+    """A command's work estimate exceeds its --budget; not a ValueError."""
 
 
 def _require_budget(what: str, est: int, budget: int) -> None:
@@ -400,7 +407,7 @@ def cmd_extract_sd(args: argparse.Namespace) -> int:
     outcome_count(kind, field, k)  # raises when (kind, k) does not fit the field
     mode, samples, seed = args.mode, args.samples, args.seed
     if mode == "montecarlo" and (samples is None or seed is None):
-        raise ConfigError("montecarlo mode requires --samples and --seed")
+        raise ValueError("montecarlo mode requires --samples and --seed")
     if mode == "exact":
         samples = seed = None
     _require_budget(_CLASSES, curve.weil_interval()[1], args.budget)
@@ -428,12 +435,12 @@ def cmd_charsum(args: argparse.Namespace) -> int:
 
     if mode == "interval":
         if args.n != 1:
-            raise ConfigError("interval sums are defined over prime fields (n = 1)")
+            raise ValueError("interval sums are defined over prime fields (n = 1)")
         if not is_prime(p):
-            raise ConfigError(f"p = {p} is not prime")
+            raise ValueError(f"p = {p} is not prime")
         L_single = args.L
         if L_single is not None and not 1 <= L_single <= p:
-            raise ConfigError(f"L must be in [1, {p}], got {L_single}")
+            raise ValueError(f"L must be in [1, {p}], got {L_single}")
         # the running sums cost p terms per L up to the largest L
         _require_budget(evals, p * (L_single or p), args.budget)
         for L in range(1, p + 1) if L_single is None else (L_single,):
@@ -548,7 +555,7 @@ def _resolve_template(field: FiniteField, template: str, c: int | None) -> Hyper
             return HyperellipticCurve(field, fstr)
         except NotSquarefreeError:
             pass
-    raise ConfigError(
+    raise ValueError(
         f"no squarefree instance of template {template!r} over F_{field.q}"
     )
 
@@ -560,18 +567,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ks, cs = args.k, args.c
     swept = "c" in [t.strip() for t in template.split(",")]
     if swept != (cs is not None):
-        raise ConfigError(
+        raise ValueError(
             "f template uses 'c' but no --c values were given" if swept
             else "--c values were given but the f template has no 'c' token"
         )
     if cs is None:
         cs = [None] * len(ps)
     elif len(cs) != len(ps):
-        raise ConfigError(
+        raise ValueError(
             f"--c needs one value per p: got {len(cs)} for {len(ps)} primes"
         )
     if not ps or not kinds or not ks:
-        raise ConfigError("sweep grid is empty")
+        raise ValueError("sweep grid is empty")
 
     # validate the whole grid before doing any work
     fields = [finite_field(p, args.n) for p in ps]
@@ -698,9 +705,9 @@ def main(argv=None) -> int:
             flags = _config_flags(args.config, parser.config_options[args.command])
             args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
         if args.out and os.path.isdir(args.out):
-            raise ConfigError(f"--out {args.out}: is a directory")
+            raise ValueError(f"--out {args.out}: is a directory")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise ConfigError(f"--out {args.out}: no such directory")
+            raise ValueError(f"--out {args.out}: no such directory")
         return args.func(args)
     except SystemExit as exc:  # argparse: --help or a bad option
         code = exc.code
@@ -710,7 +717,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -62,15 +62,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import (
-    FieldMismatchError,
-    InvalidDivisorError,
-    NegativeScalarError,
-    NotMonicError,
-    NotSquarefreeError,
-    PointNotOnCurveError,
-    WrongDegreeError,
-)
 from .field import FiniteField
 from .poly import (
     Poly,
@@ -90,6 +81,10 @@ from .poly import (
 # keys it received, before it uses the generator again: three keep the
 # generator resident, and the fourth leaves room for a second fixed base.
 _DOUBLING_BASES = 4
+
+
+class NotSquarefreeError(ValueError):
+    """f has a repeated root; the sweep's template search skips such c."""
 
 
 def find_squarefree_quintic(field: FiniteField) -> Poly:
@@ -135,15 +130,15 @@ class MumfordDivisor:
 
     def __init__(self, u: Poly, v: Poly):
         if not isinstance(u, Poly) or not isinstance(v, Poly):
-            raise InvalidDivisorError("u and v must be Poly instances")
+            raise ValueError("u and v must be Poly instances")
         if u.field != v.field:
-            raise FieldMismatchError("u and v over different fields")
+            raise ValueError("u and v over different fields")
         if not u.is_monic:
-            raise InvalidDivisorError(f"u = {u} is not monic")
+            raise ValueError(f"u = {u} is not monic")
         if u.degree > 2:
-            raise InvalidDivisorError(f"deg u = {u.degree} > 2 is not reduced")
+            raise ValueError(f"deg u = {u.degree} > 2 is not reduced")
         if v.degree >= u.degree:
-            raise InvalidDivisorError(
+            raise ValueError(
                 f"deg v = {v.degree} must be below deg u = {u.degree}"
             )
         object.__setattr__(self, "u", u)
@@ -187,11 +182,11 @@ class HyperellipticCurve:
         elif not isinstance(f, Poly):
             f = Poly(field, f)
         if f.field != field:
-            raise FieldMismatchError(f"f is over {f.field!r}, not {field!r}")
+            raise ValueError(f"f is over {f.field!r}, not {field!r}")
         if f.degree != 5:
-            raise WrongDegreeError(f"deg f = {f.degree}, need exactly 5")
+            raise ValueError(f"deg f = {f.degree}, need exactly 5")
         if not f.is_monic:
-            raise NotMonicError("f must be monic")
+            raise ValueError("f must be monic")
         if not f.is_squarefree():
             raise NotSquarefreeError(f"f = {f} has a repeated root")
         self.field = field
@@ -245,7 +240,7 @@ class HyperellipticCurve:
     def divisor_from_point(self, point) -> MumfordDivisor:
         x, y = point
         if not self.is_point(x, y):
-            raise PointNotOnCurveError(f"({x}, {y}) does not satisfy y^2 = f(x)")
+            raise ValueError(f"({x}, {y}) does not satisfy y^2 = f(x)")
         K = self.field
         return MumfordDivisor(Poly(K, (K._neg(x), 1)), Poly(K, (y,)))
 
@@ -288,7 +283,7 @@ class HyperellipticCurve:
 
     def _require_valid(self, D) -> None:
         if not self.is_valid_divisor(D):
-            raise InvalidDivisorError(f"{D!r} is not a divisor on {self!r}")
+            raise ValueError(f"{D!r} is not a divisor on {self!r}")
 
     # -- group law ------------------------------------------------------------
 
@@ -453,9 +448,9 @@ class HyperellipticCurve:
         the closed form does not apply, such as a running sum equal to
         minus the next term."""
         if type(m) is not int:
-            raise NegativeScalarError(f"scalar must be an int, got {m!r}")
+            raise ValueError(f"scalar must be an int, got {m!r}")
         if m < 0:
-            raise NegativeScalarError(f"scalar must be >= 0, got {m}")
+            raise ValueError(f"scalar must be >= 0, got {m}")
         self._require_valid(D)
         if not m:
             return self._wrap_divisor([1], [])

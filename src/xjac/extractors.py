@@ -18,7 +18,6 @@ from __future__ import annotations
 from enum import Enum
 
 from .curve import HyperellipticCurve, MumfordDivisor
-from .errors import KOutOfRangeError, RequiresPrimeFieldError
 from .field import FiniteField
 
 
@@ -69,13 +68,13 @@ def outcome_count(kind: ExtractorKind, field: FiniteField, k: int) -> int:
     once (kind, k) is checked against the field: the one place that
     decides whether an extractor fits."""
     if kind.is_bitwise and field.n != 1:
-        raise RequiresPrimeFieldError(
+        raise ValueError(
             f"{kind.value} is defined over prime fields only, "
             f"field has degree {field.n}"
         )
     top = max_k(kind, field)
     if type(k) is not int or not 1 <= k <= top:
-        raise KOutOfRangeError(
+        raise ValueError(
             f"k must be in [1, {top}] for {kind.value} over F_{field.q}, got {k!r}"
         )
     return 2**k if kind.is_bitwise else field.p**k

@@ -21,15 +21,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import (
-    EvenCharacteristicError,
-    NonElementError,
-    NotIrreducibleError,
-    NotMonicError,
-    NotPrimeError,
-    WrongDegreeError,
-)
-
 # Largest supported field size: keeps every encoding inside a machine word
 # on 64-bit builds and bounds table/cache memory.
 MAX_FIELD_SIZE = 1 << 63
@@ -99,9 +90,9 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     result is reproducible across runs and implementations.
     """
     if not is_prime(p):
-        raise NotPrimeError(f"p={p} is not prime")
+        raise ValueError(f"p={p} is not prime")
     if n < 1:
-        raise WrongDegreeError(f"extension degree must be >= 1, got {n}")
+        raise ValueError(f"extension degree must be >= 1, got {n}")
     if n == 1:
         return (0, 1)  # every monic linear is irreducible; x is the smallest
     # m is the base-p numeral c_0 c_1 ... c_{n-1}, c_0 most significant and
@@ -137,16 +128,16 @@ class FiniteField:
 
     def __init__(self, p: int, n: int = 1, modulus: Sequence[int] | None = None):
         if type(p) is not int or p < 2:
-            raise NotPrimeError(f"p={p!r} is not a prime >= 3")
+            raise ValueError(f"p={p!r} is not a prime >= 3")
         if p == 2:
-            raise EvenCharacteristicError("characteristic 2 is not supported")
+            raise ValueError("characteristic 2 is not supported")
         if not is_prime(p):
-            raise NotPrimeError(f"p={p} is not prime")
+            raise ValueError(f"p={p} is not prime")
         if type(n) is not int or n < 1:
-            raise WrongDegreeError(f"extension degree must be >= 1, got {n!r}")
+            raise ValueError(f"extension degree must be >= 1, got {n!r}")
         q = p**n
         if q > MAX_FIELD_SIZE:
-            raise WrongDegreeError(f"p**n = {q} exceeds the supported range 2**63")
+            raise ValueError(f"p**n = {q} exceeds the supported range 2**63")
 
         if modulus is None:
             mod = list(find_irreducible(p, n))
@@ -156,18 +147,18 @@ class FiniteField:
             mod = list(modulus)
             for c in mod:
                 if type(c) is not int or not 0 <= c < p:
-                    raise NonElementError(
+                    raise ValueError(
                         f"modulus coefficient {c!r} is not in [0, {p})"
                     )
             raw_strip(mod)
             if len(mod) - 1 != n:
-                raise WrongDegreeError(
+                raise ValueError(
                     f"modulus degree {len(mod) - 1} does not match n={n}"
                 )
             if mod[-1] != 1:
-                raise NotMonicError("modulus must be monic")
+                raise ValueError("modulus must be monic")
             if not _pis_irreducible(mod, p):
-                raise NotIrreducibleError(
+                raise ValueError(
                     f"modulus {tuple(mod)} is reducible over F_{p}"
                 )
 
@@ -289,7 +280,7 @@ class FiniteField:
     def _check(self, a) -> None:
         # type(), not isinstance(): a bool is an int but not an encoding
         if type(a) is not int or not 0 <= a < self.q:
-            raise NonElementError(f"{a!r} is not an element encoding of {self!r}")
+            raise ValueError(f"{a!r} is not an element encoding of {self!r}")
 
     def add(self, a: int, b: int) -> int:
         self._check(a)
@@ -387,12 +378,12 @@ class FiniteField:
     def from_coords(self, digits: Iterable[int]) -> int:
         ds = list(digits)
         if len(ds) > self.n:
-            raise NonElementError(
+            raise ValueError(
                 f"got {len(ds)} coordinates for an extension of degree {self.n}"
             )
         for d in ds:
             if type(d) is not int or not 0 <= d < self.p:
-                raise NonElementError(f"coordinate {d!r} is not in [0, {self.p})")
+                raise ValueError(f"coordinate {d!r} is not in [0, {self.p})")
         return self._vec_encode(ds)
 
     def elements(self) -> range:
@@ -430,5 +421,5 @@ def finite_field(
     key = tuple(modulus) if modulus is not None else None
     # typed=True types only the arguments, and (True, 0, 1) == (1, 0, 1)
     if key is not None and any(type(c) is not int for c in key):
-        raise NonElementError(f"modulus coefficients must be ints, got {key!r}")
+        raise ValueError(f"modulus coefficients must be ints, got {key!r}")
     return _cached_field(p, n, key)

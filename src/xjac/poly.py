@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BothZeroError, NonElementError
 from .field import FiniteField
 
 Raw = list  # low-degree-first list of element encodings, no trailing zeros
@@ -111,7 +110,7 @@ def raw_xgcd(
 ) -> tuple[Raw, Raw, Raw]:
     """Monic g plus Bezout coefficients: s*a + t*b = g."""
     if not a and not b:
-        raise BothZeroError("gcd(0, 0) is undefined")
+        raise ValueError("gcd(0, 0) is undefined")
     r0, s0, t0 = list(a), [1], []
     r1, s1, t1 = list(b), [], [1]
     while r1:
@@ -130,7 +129,7 @@ def raw_xgcd(
 
 def raw_gcd(K: FiniteField, a: Sequence[int], b: Sequence[int]) -> Raw:
     if not a and not b:
-        raise BothZeroError("gcd(0, 0) is undefined")
+        raise ValueError("gcd(0, 0) is undefined")
     r0, r1 = list(a), list(b)
     while r1:
         _, r2 = raw_divmod(K, r0, r1)
@@ -189,7 +188,7 @@ class Poly:
         try:
             cs = [int(t) for t in toks]
         except ValueError as exc:
-            raise NonElementError(f"bad polynomial text {text!r}") from exc
+            raise ValueError(f"bad polynomial text {text!r}") from exc
         return cls(field, cs)
 
     def to_string(self) -> str:

@@ -31,7 +31,6 @@ from itertools import chain, repeat
 from typing import Iterable, Mapping
 
 from .curve import HyperellipticCurve
-from .errors import KOutOfRangeError
 from .extractors import ExtractorKind, extract, outcome_count, outcome_index
 
 _MASK64 = (1 << 64) - 1
@@ -172,7 +171,7 @@ def sd_bound_coords(p: int, n: int, k: int) -> float:
     """SD bound for the k-coordinate extractors over F_{p^n}:
     sqrt(p^k) / (2 sqrt(q) (q + 1))."""
     if k < 1 or k > n:
-        raise KOutOfRangeError(f"k must be in [1, {n}], got {k}")
+        raise ValueError(f"k must be in [1, {n}], got {k}")
     q = p**n
     return math.sqrt(p**k) / (2.0 * math.sqrt(q) * (q + 1))
 
@@ -181,7 +180,7 @@ def sd_bound_bits(p: int, k: int) -> float:
     """SD bound for the k-bit extractors over F_p:
     sqrt(2^k / p) * (1 + sqrt(log2 p) / (p + 1))."""
     if k < 1 or 2**k > p:
-        raise KOutOfRangeError(f"k must satisfy 2**k <= p={p}, got {k}")
+        raise ValueError(f"k must satisfy 2**k <= p={p}, got {k}")
     return math.sqrt(2**k / p) * (1.0 + math.sqrt(math.log2(p)) / (p + 1))
 
 

@@ -9,6 +9,7 @@ import pytest
 from xjac import cache
 from xjac.cache import (
     CACHE_VERSION,
+    CacheError,
     cache_key,
     cache_path,
     ensure_jacobian,
@@ -17,7 +18,6 @@ from xjac.cache import (
     serialize,
 )
 from xjac.curve import HyperellipticCurve
-from xjac.errors import CacheError
 from xjac.field import finite_field
 
 

@@ -21,8 +21,7 @@ from xjac.cli import (
     render_csv,
     render_json,
 )
-from xjac.curve import HyperellipticCurve
-from xjac.errors import ConfigError, NotSquarefreeError
+from xjac.curve import HyperellipticCurve, NotSquarefreeError
 from xjac.field import finite_field
 from xjac.stats import RandomSource
 
@@ -575,7 +574,10 @@ class TestSweep:
             tokens = template.split(",")
             want = self.full_scan(field, tokens, c)
             if want is None:
-                with pytest.raises(ConfigError, match="no squarefree instance"):
+                with pytest.raises(
+                    ValueError,
+                    match=f"^no squarefree instance of template '{template}' over F_{field.q}$",
+                ):
                     cli._resolve_template(field, template, c)
                 continue
             skipped += want != c % field.q

@@ -17,16 +17,8 @@ from xjac.curve import (
     AffinePoint,
     HyperellipticCurve,
     MumfordDivisor,
-    find_squarefree_quintic,
-)
-from xjac.errors import (
-    FieldMismatchError,
-    InvalidDivisorError,
-    NegativeScalarError,
-    NotMonicError,
     NotSquarefreeError,
-    PointNotOnCurveError,
-    WrongDegreeError,
+    find_squarefree_quintic,
 )
 from xjac.field import finite_field
 from xjac.poly import (
@@ -148,13 +140,13 @@ def remainder_check(curve, u, v):
 
 class TestConstruction:
     def test_rejects_bad_f(self, F7):
-        with pytest.raises(WrongDegreeError):
+        with pytest.raises(ValueError, match="^deg f = 4, need exactly 5$"):
             HyperellipticCurve(F7, "1,0,0,0,1")       # degree 4
-        with pytest.raises(NotMonicError):
+        with pytest.raises(ValueError, match="^f must be monic$"):
             HyperellipticCurve(F7, "1,0,0,0,0,2")
-        with pytest.raises(NotSquarefreeError):
+        with pytest.raises(NotSquarefreeError, match=r"^f = x\^5 has a repeated root$"):
             HyperellipticCurve(F7, "0,0,0,0,0,1")     # x^5
-        with pytest.raises(FieldMismatchError):
+        with pytest.raises(ValueError, match="^f is over F_11, not F_7$"):
             HyperellipticCurve(F7, Poly(finite_field(11), (1, 0, 0, 0, 0, 1)))
 
     def test_accepts_poly_and_sequence(self, F7):
@@ -193,7 +185,7 @@ class TestPoints:
     def test_divisor_from_point(self, c7):
         D = c7.divisor_from_point((0, 1))
         assert D.u.coeffs == (0, 1) and D.v.coeffs == (1,)
-        with pytest.raises(PointNotOnCurveError):
+        with pytest.raises(ValueError, match=r"^\(0, 2\) does not satisfy y\^2 = f\(x\)$"):
             c7.divisor_from_point((0, 2))
 
 
@@ -279,11 +271,11 @@ class TestDivisorValidity:
         self.check_random(curve, divisors, rng)
 
     def test_mumford_shape_enforced(self, F7):
-        with pytest.raises(InvalidDivisorError):
+        with pytest.raises(ValueError, match="^deg u = 3 > 2 is not reduced$"):
             MumfordDivisor(Poly(F7, (0, 0, 0, 1)), Poly.zero(F7))  # deg 3
-        with pytest.raises(InvalidDivisorError):
+        with pytest.raises(ValueError, match=r"^u = 2\*x is not monic$"):
             MumfordDivisor(Poly(F7, (0, 2)), Poly.zero(F7))        # not monic
-        with pytest.raises(InvalidDivisorError):
+        with pytest.raises(ValueError, match="^deg v = 1 must be below deg u = 1$"):
             MumfordDivisor(Poly(F7, (0, 1)), Poly(F7, (1, 1)))     # deg v too big
 
 
@@ -330,9 +322,10 @@ class TestCantor:
 
     def test_invalid_operand_rejected(self, F7, c7):
         ghost = MumfordDivisor(Poly(F7, (1, 0, 1)), Poly.zero(F7))
-        with pytest.raises(InvalidDivisorError):
+        on_c7 = r" is not a divisor on y\^2 = x\^5 \+ 1 over F_7$"
+        with pytest.raises(ValueError, match=r"^\[x\^2 \+ 1, 0\]" + on_c7):
             c7.cantor_add(ghost, c7.zero())
-        with pytest.raises(InvalidDivisorError):
+        with pytest.raises(ValueError, match="^'no'" + on_c7):
             c7.cantor_add("no", c7.zero())
 
 
@@ -1031,10 +1024,10 @@ class TestGroupLaws:
             acc = c7.cantor_add(acc, D)
 
     def test_scalar_mul_rejects_negative(self, c7):
-        with pytest.raises(NegativeScalarError):
+        with pytest.raises(ValueError, match="^scalar must be >= 0, got -1$"):
             c7.scalar_mul(c7.zero(), -1)
 
     @pytest.mark.parametrize("m", [True, False, 2.0])
     def test_scalar_mul_rejects_non_int(self, c7, m):
-        with pytest.raises(NegativeScalarError):
+        with pytest.raises(ValueError, match=f"^scalar must be an int, got {m!r}$"):
             c7.scalar_mul(c7.zero(), m)

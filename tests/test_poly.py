@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xjac.errors import BothZeroError, NonElementError
 from xjac.field import finite_field
 from xjac.poly import (
     Poly,
@@ -55,11 +54,11 @@ def test_string_roundtrip(K):
     assert f.to_string() == "1,0,3"
     assert Poly.zero(K).to_string() == "0"
     assert Poly.from_string(K, "0").is_zero
-    with pytest.raises(NonElementError):
+    with pytest.raises(ValueError, match="^7 is not an element encoding of F_7$"):
         Poly.from_string(K, "1,7")
-    with pytest.raises(NonElementError):
+    with pytest.raises(ValueError, match="^bad polynomial text '1,x'$"):
         Poly.from_string(K, "1,x")
-    with pytest.raises(NonElementError):
+    with pytest.raises(ValueError, match="^True is not an element encoding of F_7$"):
         Poly(K, [True, 2])  # would print as "True,2"
 
 
@@ -114,9 +113,9 @@ def test_xgcd_bezout_identity(K):
 
 
 def test_xgcd_both_zero(K):
-    with pytest.raises(BothZeroError):
+    with pytest.raises(ValueError, match=r"^gcd\(0, 0\) is undefined$"):
         raw_xgcd(K, [], [])
-    with pytest.raises(BothZeroError):
+    with pytest.raises(ValueError, match=r"^gcd\(0, 0\) is undefined$"):
         raw_gcd(K, [], [])
 
 

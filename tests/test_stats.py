@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from xjac import cli, extractors, stats
 from xjac.curve import HyperellipticCurve
-from xjac.errors import KOutOfRangeError, RequiresPrimeFieldError
 from xjac.extractors import (
     ExtractorKind,
     extract,
@@ -98,17 +98,18 @@ class TestRandomSource:
     @pytest.mark.parametrize("n", [2.5, 3.0, True, 0, -1, "11", (1 << 64) + 1])
     def test_below_needs_an_int_n_in_1_to_2_64(self, n):
         # above 2^64 every raw draw would be rejected
-        with pytest.raises(ValueError):
+        message = re.escape(f"need an int n in [1, 2^64], got {n!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             RandomSource(0).below(n, 1)
 
     @pytest.mark.parametrize("count", [-1, 2.0, True, None])
     def test_below_needs_an_int_count_of_at_least_0(self, count):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^need an int count >= 0, got {count!r}$"):
             RandomSource(0).below(11, count)
 
     @pytest.mark.parametrize("seed", [True, False, 1.0, -1])
     def test_seed_must_be_a_non_negative_int(self, seed):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative int, got {seed!r}$"):
             RandomSource(seed)
 
 
@@ -128,25 +129,25 @@ class TestTally:
         rng = random.Random(3)
         draws = [rng.randrange(50) for _ in range(2000)]
         assert list(Tally.from_outcomes(50, draws).counts) == list(dict.fromkeys(draws))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^outcome index True outside \[0, 2\)$"):
             Tally.from_outcomes(2, [0, True])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^outcome space size must be >= 1, got 0$"):
             Tally(0, {})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^outcome index 4 outside \[0, 4\)$"):
             Tally(4, {4: 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^count -1 for outcome 0 is not an int >= 0$"):
             Tally(4, {0: -1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tally needs at least one observation$"):
             Tally(4, {})  # no observations
 
     def test_bool_is_not_an_index_count_or_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^outcome space size must be >= 1, got True$"):
             Tally(True, {0: 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^outcome index True outside \[0, 4\)$"):
             Tally(4, {True: 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^count True for outcome 0 is not an int >= 0$"):
             Tally(4, {0: True})
 
 
@@ -234,9 +235,9 @@ class TestBounds:
         assert sd_bound_bits(127, 1) == pytest.approx(0.12808295747948903, rel=1e-12)
 
     def test_bound_domains(self):
-        with pytest.raises(KOutOfRangeError):
+        with pytest.raises(ValueError, match=r"^k must be in \[1, 1\], got 2$"):
             sd_bound_coords(7, 1, 2)
-        with pytest.raises(KOutOfRangeError):
+        with pytest.raises(ValueError, match=r"^k must satisfy 2\*\*k <= p=7, got 3$"):
             sd_bound_bits(7, 3)
 
     def test_envelopes(self):
@@ -312,9 +313,9 @@ class TestDistributions:
         assert dev <= 0.02
 
     def test_monte_carlo_validation(self, c7):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^samples must be >= 1, got 0$"):
             monte_carlo_distribution(c7, ExtractorKind.SUM, 1, 0, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^samples must be >= 1, got True$"):
             monte_carlo_distribution(c7, ExtractorKind.SUM, 1, True, seed=1)
 
 
@@ -398,15 +399,16 @@ class TestCountedTally:
 
     def test_errors_as_before_and_no_count(self):
         curve = fresh_curve(7, 1, "1,0,0,0,0,1")
-        with pytest.raises(KOutOfRangeError):
+        with pytest.raises(ValueError, match=r"^k must be in \[1, 1\] for sum over F_7, got 2$"):
             exact_output_distribution(curve, ExtractorKind.SUM, 2)
-        with pytest.raises(KOutOfRangeError):
+        with pytest.raises(ValueError, match=r"^k must be in \[1, 2\] for sk over F_7, got 3$"):
             exact_output_distribution(curve, ExtractorKind.SK, 3)
-        with pytest.raises(KOutOfRangeError):
+        with pytest.raises(ValueError, match=r"^k must be in \[1, 2\] for pk over F_7, got 0$"):
             exact_output_distribution(curve, ExtractorKind.PK, 0)
         ext = fresh_curve(3, 2, "1,0,0,0,0,1")
         for kind in (ExtractorKind.SK, ExtractorKind.PK):
-            with pytest.raises(RequiresPrimeFieldError):
+            prime_only = f"^{kind.value} is defined over prime fields only, field has degree 2$"
+            with pytest.raises(ValueError, match=prime_only):
                 exact_output_distribution(ext, kind, 1)
         # every error is raised before the counting pass
         assert curve._counts is None and ext._counts is None
@@ -540,9 +542,11 @@ class TestMonteCarloMemo:
 
     def test_errors_before_any_count(self):
         curve = fresh_curve(7, 1, "1,0,0,0,0,1")
-        with pytest.raises(KOutOfRangeError):
+        with pytest.raises(ValueError, match=r"^k must be in \[1, 1\] for sum over F_7, got 2$"):
             monte_carlo_distribution(curve, ExtractorKind.SUM, 2, 10, seed=1)
         ext = fresh_curve(3, 2, "1,0,0,0,0,1")
-        with pytest.raises(RequiresPrimeFieldError):
+        with pytest.raises(
+            ValueError, match="^pk is defined over prime fields only, field has degree 2$"
+        ):
             monte_carlo_distribution(ext, ExtractorKind.PK, 1, 10, seed=1)
         assert curve._counts is None and ext._counts is None
