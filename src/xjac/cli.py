@@ -639,11 +639,12 @@ _FIELD = (
     ("--modulus", dict(type=int_list, help="extension modulus c0,c1,...,1 over F_p")),
 )
 _F = ("--f", dict(help="curve polynomial c0,...,c5 (monic quintic)"))
+_CACHE = ("--cache-dir", dict(help="Jacobian cache directory; only jacobian uses it "
+                                   "(default none)"))
 _COMMON = (
     ("--out", dict(help="write the report here instead of stdout")),
     ("--format", dict(choices=["csv", "json"], default="csv",
                       help="report format (default csv)")),
-    ("--cache-dir", dict(help="Jacobian cache directory for jacobian (default none)")),
     ("--budget", dict(type=int, default=DEFAULT_BUDGET,
                       help="work cap before BudgetExceeded (default 10^6)")),
 )
@@ -669,14 +670,14 @@ def build_parser() -> argparse.ArgumentParser:
             kept[sp.add_argument(flag, **kw).dest] = (flag, kw.get("type"))
 
     command("jacobian", cmd_jacobian, "enumerate a Jacobian and check its size",
-            *_FIELD, _F)
+            *_FIELD, _F, _CACHE)
     command("extract-sd", cmd_extract_sd, "extractor output distribution and SD",
             *_FIELD, _F,
             ("--extractor", dict(type=extractor, help="sum, prod, sk or pk")),
             ("--k", dict(type=int, help="output length")),
             ("--mode", dict(choices=["exact", "montecarlo"], default="exact")),
             ("--samples", dict(type=int, help="montecarlo sample count")),
-            ("--seed", dict(type=int, help="montecarlo RNG seed")))
+            ("--seed", dict(type=int, help="montecarlo RNG seed")), _CACHE)
     command("charsum", cmd_charsum, "character-sum law checks",
             *_FIELD,
             ("--mode", dict(choices=CHARSUM_MODES)),
@@ -690,7 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("--extractor", dict(type=extractor_list, help="comma list of extractors")),
             ("--k", dict(type=int_list, default=[1],
                          help="comma list of output lengths (default 1)")),
-            ("--c", dict(type=int_list, help="template coefficient per prime, comma list")))
+            ("--c", dict(type=int_list, help="template coefficient per prime, comma list")),
+            _CACHE)
     return parser
 
 

@@ -7,6 +7,9 @@ import json
 import math
 import os
 import random
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -138,6 +141,9 @@ class TestJacobian:
         code, _, err = run(capsys, ["jacobian", *F7_ARGS, "--budget", "100"])
         assert code == 3
         assert "error:" in err
+        code, out, err = run(capsys, ["jacobian", "--p", "1009", "--f", "1,3,0,0,0,1"])
+        assert (code, out) == (3, "")
+        assert err == "error: Jacobian may hold up to 1152466 classes, budget is 1000000\n"
 
     def test_budget_checked_before_a_warm_cache(self, capsys, tmp_path):
         cache_args = ["--cache-dir", str(tmp_path)]
@@ -179,6 +185,9 @@ class TestExtractSD:
         assert row["sd"] == "0.153571428571"
         assert row["samples"] == "1000" and row["seed"] == "42"
         assert row["experiment_id"].endswith("-montecarlo-N1000-s42")
+        code, out, _ = run(capsys, [*argv[:-1], "1"])
+        assert code == 0
+        assert rows_of(out)[0]["sd"] == "0.186571428571"
 
     def test_montecarlo_requires_samples_and_seed(self, capsys):
         base = ["extract-sd", *F7_ARGS, "--extractor", "sum", "--k", "1",
@@ -286,6 +295,12 @@ class TestCharsum:
         assert rows[0]["a"] == "0" and rows[0]["expected"] == "7"
         assert all(r["expected"] == "0" for r in rows[1:])
         assert all(r["status"] == "pass" for r in rows)
+        code, out, _ = run(capsys, ["charsum", "--mode", "orthogonality", "--p", "3",
+                                    "--n", "6"])
+        assert code == 0
+        rows = rows_of(out)
+        assert len(rows) == 729 and rows[0]["expected"] == "729"
+        assert all(r["status"] == "pass" for r in rows)
 
     def test_failing_row_exits_1(self, capsys, monkeypatch):
         """One row off by 5 is still written, counted on stderr, and makes
@@ -329,6 +344,11 @@ class TestCharsum:
         (row,) = rows_of(out)
         assert row["basis"] == "0;2"
         assert row["magnitude"] == "27" and row["expected"] == "27"
+        code, out, _ = run(capsys, ["charsum", "--mode", "winterhof", "--p", "3",
+                                    "--n", "7", "--basis", "0"])
+        assert code == 0
+        (row,) = rows_of(out)
+        assert row["magnitude"] == "2187" and row["status"] == "pass"
 
     def test_winterhof_budget_counts_only_the_given_basis(self, capsys):
         # 27 * 3 evaluations for the one basis {0}, well inside 100
@@ -346,14 +366,16 @@ class TestCharsum:
           "--budget", "100"], 729),
         (["--mode", "winterhof", "--p", "3", "--n", "3", "--budget", "100"], 1728),
         (["--mode", "winterhof", "--p", "5", "--n", "2", "--budget", "100"], 900),
+        (["--mode", "mordell", "--p", "37"], 1823508),
     ], ids=["orthogonality", "winterhof", "winterhof-all-subsets-F27",
-            "winterhof-all-subsets-F25"])
+            "winterhof-all-subsets-F25", "mordell-default-budget"])
     def test_over_budget_exits_3(self, capsys, argv, est):
         code, out, err = run(capsys, ["charsum", *argv])
+        budget = argv[-1] if "--budget" in argv else "1000000"
         assert code == 3 and out == ""
         assert err == (
             f"error: charsum mode {argv[1]} needs about {est} character evaluations, "
-            f"budget is {argv[-1]}\n"
+            f"budget is {budget}\n"
         )
 
     @pytest.mark.parametrize("argv, est", [
@@ -403,6 +425,24 @@ class TestCharsum:
                                       "--L", "100000", *budget])
         assert (code, out) == (2, "")
         assert err == "error: L must be in [1, 127], got 100000\n"
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_cache_dir_is_not_an_option(self, capsys, tmp_path, via):
+        """charsum builds no curve, so it declares no --cache-dir: the flag
+        and the config key both exit 2 and create nothing."""
+        cache_dir = tmp_path / "cache"
+        if via == "flag":
+            extra = ["--cache-dir", str(cache_dir)]
+            last = f"xjac: error: unrecognized arguments: --cache-dir {cache_dir}"
+        else:
+            path = tmp_path / "cache.json"
+            path.write_text(json.dumps({"cache_dir": str(cache_dir)}))
+            extra = ["--config", str(path)]
+            last = "error: config file key 'cache_dir' is not a known option"
+        code, out, err = run(capsys, ["charsum", "--mode", "mordell", "--p", "5", *extra])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == last
+        assert not cache_dir.exists()
 
     def test_interval_rejects_extension_field(self, capsys):
         code, _, _ = run(capsys, ["charsum", "--mode", "interval", "--p", "3",
@@ -500,6 +540,11 @@ class TestSweep:
         assert by_p["7"]["status"] == "ok"
         assert by_p["13"]["status"] == "budget_exceeded"
         assert by_p["13"]["sd"] == ""
+        assert "1 budget warning(s)" in err
+        code, out, err = run(capsys, ["sweep", "--p", "7,1009", "--f", "1,0,0,0,0,1",
+                                      "--extractor", "sum", "--k", "1"])
+        assert code == 0
+        assert [r["status"] for r in rows_of(out)] == ["ok", "budget_exceeded", "ok"]
         assert "1 budget warning(s)" in err
 
     def test_empty_grid(self, capsys):
@@ -668,7 +713,9 @@ class TestCache:
              "--extractor", "prod", "--k", "2", "--mode", "montecarlo",
              "--samples", "500", "--seed", "3"],
         ]
-        before = [run(capsys, argv)[1] for argv in argvs]
+        runs = [run(capsys, argv) for argv in argvs]
+        assert [code for code, _, _ in runs] == [0] * len(argvs)
+        before = [out for _, out, _ in runs]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("extract-sd or sweep enumerated or used the cache")
@@ -736,9 +783,10 @@ class TestConfigFile:
         cfg = self.FULL[command] | {
             "out": str(tmp_path / "report.json"),
             "format": "json",
-            "cache_dir": str(tmp_path / "cache"),
             "budget": 10**6,
         }
+        if command != "charsum":  # the one command without --cache-dir
+            cfg["cache_dir"] = str(tmp_path / "cache")
         assert set(cfg) == dests - {"command", "func", "config"}
         path = tmp_path / "all.json"
         path.write_text(json.dumps(cfg))
@@ -882,8 +930,9 @@ class TestOutputFormats:
         ["charsum", "--mode", "orthogonality", "--p", "3", "--n", "2"],
         ["charsum", "--mode", "mordell", "--p", "5"],
         ["charsum", "--mode", "winterhof", "--p", "3", "--n", "2"],
+        ["charsum", "--mode", "mordell", "--p", "19"],
     ], ids=["jacobian", "extract-exact", "extract-mc", "sweep", "interval",
-            "orthogonality", "mordell", "winterhof"])
+            "orthogonality", "mordell", "winterhof", "mordell-p19"])
     def test_render_json_matches_indent_2(self, capsys, monkeypatch, argv):
         seen = []
         emit = cli.emit_report
@@ -989,6 +1038,17 @@ ERROR_LINES = [
      "k must be in [1, 1] for sum over F_7, got 2"),
     (["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1", "--extractor", "sk", "--k", "1"],
      "sk is defined over prime fields only, field has degree 2"),
+    (["charsum", "--mode", "interval", "--p", "9"], "p = 9 is not prime"),
+    (["extract-sd", *F7_ARGS, "--extractor", "sum", "--k", "1", "--mode", "montecarlo"],
+     "montecarlo mode requires --samples and --seed"),
+    (["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1", "--extractor", "pk", "--k", "1",
+      "--mode", "montecarlo", "--samples", "10", "--seed", "1"],
+     "pk is defined over prime fields only, field has degree 2"),
+    # outcome_count is the one check on (extractor, k): 2^3 > 7, and k > n
+    (["sweep", *F7_ARGS, "--extractor", "pk", "--k", "3"],
+     "k must be in [1, 2] for pk over F_7, got 3"),
+    (["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1", "--extractor", "sum", "--k", "3"],
+     "k must be in [1, 2] for sum over F_9, got 3"),
 ]
 
 
@@ -997,3 +1057,104 @@ def test_library_check_exits_2_with_its_message(capsys, argv, message):
     """Each library check reaches stderr as its message alone, exit 2."""
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# each command with one required option left out
+MISSING_OPTIONS = [
+    (["jacobian", "--f", "1,0,0,0,0,1"], "p"),
+    (["jacobian", "--p", "7"], "f"),
+    (["extract-sd", *F7_ARGS, "--k", "1"], "extractor"),
+    (["extract-sd", *F7_ARGS, "--extractor", "sum"], "k"),
+    (["charsum", "--p", "7"], "mode"),
+    (["charsum", "--mode", "mordell"], "p"),
+    (["sweep", "--f", "1,0,0,0,0,1", "--extractor", "sum"], "p"),
+    (["sweep", "--p", "7", "--extractor", "sum"], "f"),
+    (["sweep", *F7_ARGS], "extractor"),
+]
+
+
+@pytest.mark.parametrize("argv,option", MISSING_OPTIONS,
+                         ids=[f"{argv[0]}-{option}" for argv, option in MISSING_OPTIONS])
+def test_missing_option_exits_2_with_its_message(capsys, argv, option):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: missing required option --{option}\n")
+
+
+# |J| and the SD of one-row reports, as text the row must contain; a
+# trailing newline anchors the text at the row's end
+PINNED_ROWS = {
+    # p = 937 is the largest prime the default budget admits
+    "p937-montecarlo": (
+        ["extract-sd", "--p", "937", "--f", "1,3,0,0,0,1", "--extractor", "sum", "--k", "1",
+         "--mode", "montecarlo", "--samples", "1000", "--seed", "1"],
+        ",855982,sum,1,937,montecarlo,1000,1,0.371048025614,"),
+    "p937-exact": (
+        ["extract-sd", "--p", "937", "--f", "1,3,0,0,0,1", "--extractor", "sum", "--k", "1"],
+        ",855982,sum,1,937,exact,,,0.0135447060177,"),
+    "p2003-exact": (
+        ["extract-sd", "--p", "2003", "--f", "1,3,0,0,0,1", "--extractor", "sum", "--k", "1",
+         "--budget", "10000000"],
+        ",3971571,sum,1,2003,exact,,,0.00889392364537,"),
+    # the product extractor over F_9: the draws land on u0, not -u1
+    "F9-prod-montecarlo": (
+        ["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1", "--extractor", "prod",
+         "--k", "1", "--mode", "montecarlo", "--samples", "1000", "--seed", "1"],
+        ",100,prod,1,3,montecarlo,1000,1,0.156333333333,"),
+    # a prime-field bit extractor: the draws land on x1 (weight 1) and on u0 mod 2^k
+    "p401-pk-montecarlo": (
+        ["extract-sd", "--p", "401", "--f", "1,3,0,0,0,1", "--extractor", "pk", "--k", "4",
+         "--mode", "montecarlo", "--samples", "100000", "--seed", "42"],
+        ",162544,pk,4,16,montecarlo,100000,42,0.01065,0.0625564618,"),
+    # all 128 group-law spot checks pass over F_7^2
+    "F49-jacobian": (["jacobian", "--p", "7", "--n", "2", "--f", "1,0,0,0,0,1"], ",128,0,ok\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_ROWS))
+def test_pinned_report_row(capsys, case):
+    argv, text = PINNED_ROWS[case]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and len(rows_of(out)) == 1
+    assert text in out
+
+
+# argv, exit code and stderr, with each runtime_ms figure written as *
+PROCESS_CASES = [
+    ("jacobian --p 7 --f 1,0,0,0,0,1", 0,
+     "jacobian: |J| = 50, enumeration = computed, runtime_ms = *\n"),
+    ("extract-sd --p 7 --f 1,0,0,0,0,1 --extractor sum --k 0", 2,
+     "error: k must be in [1, 1] for sum over F_7, got 0\n"),
+    ("jacobian --p 7 --f 1,0,0,0,0,1 --budget 100", 3,
+     "error: Jacobian may hold up to 177 classes, budget is 100\n"),
+    # each estimate is a closed form of the options, judged before the p
+    # lengths or the 2^39 subsets are built, and the search over c stops
+    # after 9 values, not q
+    ("charsum --mode interval --p 1000000007", 3,
+     "error: charsum mode interval needs about 1000000014000000049 character evaluations, "
+     "budget is 1000000\n"),
+    ("charsum --mode winterhof --p 3 --n 39", 3,
+     "error: charsum mode winterhof needs about "
+     "1224809639974238708818962962512535510581248 character evaluations, budget is 1000000\n"),
+    ("sweep --p 1000003 --f 0,0,c,0,0,1 --c 1 --extractor sum", 2,
+     "error: no squarefree instance of template '0,0,c,0,0,1' over F_1000003\n"),
+]
+
+
+def test_cli_runs_as_a_process():
+    """`python -m xjac.cli` as its own process, all cases at once.  Each
+    run has a 30 s timeout, so a refusal that stops exiting at once fails
+    the test instead of hanging it."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    procs = [subprocess.Popen([sys.executable, "-m", "xjac.cli", *argv.split()], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for argv, _, _ in PROCESS_CASES]
+    try:
+        for (argv, code, err), proc in zip(PROCESS_CASES, procs):
+            out, stderr = proc.communicate(timeout=30)
+            stderr = re.sub(r"runtime_ms = [0-9.]+", "runtime_ms = *", stderr)
+            assert (proc.returncode, stderr) == (code, err), argv
+            assert (out == "") == (code != 0), argv
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.communicate()
