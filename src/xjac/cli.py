@@ -52,7 +52,7 @@ from .charsum import (
 )
 from .curve import HyperellipticCurve, NotSquarefreeError
 from .extractors import ExtractorKind, outcome_count
-from .field import FiniteField, finite_field, is_prime
+from .field import FiniteField, finite_field
 from .poly import Poly
 from .stats import (
     RandomSource,
@@ -436,8 +436,7 @@ def cmd_charsum(args: argparse.Namespace) -> int:
     if mode == "interval":
         if args.n != 1:
             raise ValueError("interval sums are defined over prime fields (n = 1)")
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+        field = build_field(args)
         L_single = args.L
         if L_single is not None and not 1 <= L_single <= p:
             raise ValueError(f"L must be in [1, {p}], got {L_single}")
@@ -448,8 +447,8 @@ def cmd_charsum(args: argparse.Namespace) -> int:
             rows.append(
                 base | vars(rep) | {
                     "experiment_id": f"charsum-interval-p{p}-L{L}",
-                    "n": 1,
-                    "q": p,
+                    "n": field.n,
+                    "q": field.q,
                     "L": L,
                     "status": "pass" if rep.magnitude <= rep.bound + 1e-9 else "fail",
                 }

@@ -48,13 +48,14 @@ odd), and r0^2 - a*r0*r1 + b*r1^2 is the norm to F_q of f(theta) for a
 root theta of u in F_q^2: v(theta) is a square root of f(theta) there,
 and an element of F_q^2 is a square exactly when its norm is a square in
 F_q.  For fixed a, r1 and r0 are quadratics in b and the norm a monic
-quintic N_a(b), built once per a, so counting costs O(q^2) field
-operations once per curve.  Over F_p it runs on plain ints with % p and
-keeps O(q) memory: a loop over the pairs of roots x1 < x2 and Horner on
-N_a at b = h^2 - d for each nonsquare d (_count_prime).  _class_table
-keeps #v(u) for every u in enumeration order, q^2 + q bytes: it counts
-over extension fields, places Monte-Carlo draws by class index, and is
-the tests' oracle for the prime route.
+quintic N_a(b).  _count_inputs derives its coefficients in closed form
+once per a, with #sqrt, w1 and h = -a/2, and both counts read them, so
+counting costs O(q^2) field operations once per curve.  Over F_p it runs
+on plain ints with % p and keeps O(q) memory: a loop over the pairs of
+roots x1 < x2 and Horner on N_a at b = h^2 - d for each nonsquare d
+(_count_prime).  _class_table keeps #v(u) for every u in enumeration
+order, q^2 + q bytes: it counts over extension fields and places
+Monte-Carlo draws by class index.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from .poly import (
     raw_monic,
     raw_mul,
     raw_neg,
-    raw_scale,
     raw_sub,
     raw_xgcd,
 )
@@ -594,17 +594,45 @@ class HyperellipticCurve:
         products = tuple(T[b] + sum(T[q + b * q : 2 * q + b * q]) for b in range(q))
         return ValueCounts(1 + sum(T), sums, products)
 
+    def _count_inputs(self) -> tuple[bytes, list, list, list]:
+        """What both class counts read, derived afresh per call: nsqrt[r] =
+        #sqrt(r), w1[x] = #sqrt(f(x)), hs[a] = -a/2 and norms[a] = (n0, ...,
+        n4), the low coefficients of the monic quintic N_a(b) = r0*(r0 -
+        a*r1) + b*r1^2.  _f_mod_quadratic's steps on polynomials in b give
+        r1 = b^2 + s1*b + s0 and r0 = t2*b^2 + t1*b + f0, so each N_a costs
+        O(1) field operations."""
+        K = self.field
+        add, sub, mul, neg = K._add, K._sub, K._mul, K._neg
+        nsqrt = bytes(map(len, self._sqrt_table()))
+        w1 = [nsqrt[raw_eval(K, self._fraw, x)] for x in range(K.q)]
+        half = K._inv(add(1, 1))
+        hs = [neg(mul(a, half)) for a in range(K.q)]
+        f0, f1, f2, f3, f4, _ = self._fraw
+        norms = []
+        for a in range(K.q):
+            k2 = sub(f4, a)
+            k3 = sub(f3, mul(a, k2))
+            t1 = neg(sub(f2, mul(a, k3)))
+            t2 = sub(k2, a)
+            s0 = add(f1, mul(a, t1))
+            s1 = sub(mul(a, t2), k3)
+            g0, g1, g2 = sub(f0, mul(a, s0)), sub(t1, mul(a, s1)), sub(t2, a)  # r0 - a*r1
+            s0s1 = mul(s0, s1)
+            norms.append((
+                mul(f0, g0),
+                add(add(mul(f0, g1), mul(t1, g0)), mul(s0, s0)),
+                add(add(mul(f0, g2), mul(t1, g1)), add(mul(t2, g0), add(s0s1, s0s1))),
+                add(add(mul(t1, g2), mul(t2, g1)), add(mul(s1, s1), add(s0, s0))),
+                add(mul(t2, g2), add(s1, s1)),
+            ))
+        return nsqrt, w1, hs, norms
+
     def _count_prime(self) -> ValueCounts:
         """value_counts over F_p in O(p) memory: #v(u) from the module
         docstring's table, added at u's sum and product of roots as each
         u is met, on plain ints with % p."""
         p = self.field.p
-        f0, f1, f2, f3, f4, _ = self._fraw
-        nsqrt = bytearray(p)  # #sqrt(r)
-        for y in range(1, (p + 1) // 2):
-            nsqrt[y * y % p] = 2
-        nsqrt[0] = 1
-        w1 = [nsqrt[(((((x + f4) * x + f3) * x + f2) * x + f1) * x + f0) % p] for x in range(p)]
+        nsqrt, w1, hs, norms = self._count_inputs()
         # x - x1: sum and product x1
         sums, products = w1[:], w1[:]
         # (x - x1)(x - x2) for x1 < x2, and (x - x1)^2
@@ -621,26 +649,8 @@ class HyperellipticCurve:
         # irreducible x^2 + a*x + b = (x - h)^2 - d, h = -a/2 and d a
         # nonsquare, so b = h^2 - d: its sum is -a, its product b
         nonsquares = [d for d in range(1, p) if not nsqrt[d]]
-        half = (p + 1) // 2
-        for a in range(p):
-            # N_a(b) = r0*(r0 - a*r1) + b*r1^2, where _f_mod_quadratic's
-            # steps give r1 = b^2 + s1*b + s0 and r0 = t2*b^2 + t1*b + f0:
-            # N_a is monic
-            k2 = f4 - a
-            k3 = f3 - a * k2
-            k4 = f2 - a * k3
-            m = a - k2
-            s0 = (f1 - a * k4) % p
-            s1 = -(k3 + a * m) % p
-            t1, t2 = -k4 % p, -m % p
-            g0, g1, g2 = f0 - a * s0, t1 - a * s1, t2 - a  # r0 - a*r1
-            n0 = f0 * g0 % p
-            n1 = (f0 * g1 + t1 * g0 + s0 * s0) % p
-            n2 = (f0 * g2 + t1 * g1 + t2 * g0 + 2 * s0 * s1) % p
-            n3 = (t1 * g2 + t2 * g1 + s1 * s1 + 2 * s0) % p
-            n4 = (t2 * g2 + 2 * s1) % p
-            hh = (a * half % p) ** 2
-            total = 0
+        for a, h, (n0, n1, n2, n3, n4) in zip(range(p), hs, norms):
+            hh, total = h * h, 0
             for d in nonsquares:
                 b = (hh - d) % p
                 n = nsqrt[(((((b + n4) * b + n3) * b + n2) * b + n1) * b + n0) % p]
@@ -658,24 +668,12 @@ class HyperellipticCurve:
         if self._table is not None:
             return self._table
         K = self.field
-        add, sub, mul, neg = K._add, K._sub, K._mul, K._neg
+        add, sub, mul = K._add, K._sub, K._mul
         sqrt = self._sqrt_table()
-        w1 = [len(sqrt[raw_eval(K, self._fraw, x)]) for x in range(K.q)]
+        nsqrt, w1, hs, norms = self._count_inputs()
         table = bytearray(w1)
         # x^2 + a*x + b = (x - h)^2 - (h^2 - b) with h = -a/2
-        half = K._inv(add(1, 1))
-        hs = [neg(mul(a, half)) for a in range(K.q)]
         hh = [mul(h, h) for h in hs]
-        # N_a(b) = r0*(r0 - a*r1) + b*r1^2 with f == r1*x + r0 mod x^2 +
-        # a*x + b by _f_mod_quadratic's steps on lists in b, padded to six
-        norms = []
-        for a in range(K.q):
-            r1, r0 = [], [1]
-            for fk in self._fraw[4::-1]:
-                r1, r0 = raw_sub(K, r0, raw_scale(K, r1, a)), raw_sub(K, [fk], [0] + r1)
-            norm = raw_mul(K, r0, raw_sub(K, r0, raw_scale(K, r1, a)))
-            norm = raw_add(K, norm, [0] + raw_mul(K, r1, r1))
-            norms.append(norm + [0] * (6 - len(norm)))
         for b in range(K.q):
             for a in range(K.q):
                 h = hs[a]
@@ -686,9 +684,9 @@ class HyperellipticCurve:
                     s = sqrt[disc][0]
                     n = w1[add(h, s)] * w1[sub(h, s)]
                 else:  # irreducible: N_a(b) by Horner
-                    n0, n1, n2, n3, n4, n5 = norms[a]
-                    t = mul(add(mul(add(mul(add(mul(n5, b), n4), b), n3), b), n2), b)
-                    n = len(sqrt[add(mul(add(t, n1), b), n0)])
+                    n0, n1, n2, n3, n4 = norms[a]
+                    t = mul(add(mul(add(mul(add(mul(add(b, n4), b), n3), b), n2), b), n1), b)
+                    n = nsqrt[add(t, n0)]
                 table.append(n)
         self._table = bytes(table)
         return self._table

@@ -13,8 +13,8 @@ per curve shared by every (extractor, k): on plain ints in O(q) memory
 over a prime field, from the per-u table over an extension field.  A
 Monte-Carlo tally reads the curve's _class_table, #v(u) for every monic
 u of degree 1 or 2 in enumerate_jacobian's canonical order (q^2 + q
-bytes), takes |J| as 1 + its sum, expands it into one outcome per class
-index and reads the drawn indices from it.  The enumeration stays the
+bytes), expands it into one outcome per class index, |J| = 1 + its sum
+of them, and reads the drawn indices from it.  The enumeration stays the
 tests' oracle for both.
 """
 
@@ -236,7 +236,6 @@ def monte_carlo_distribution(
     zero = outcome_index(kind, field.p, extract(curve, curve.zero(), kind, k))
     m = outcome_count(kind, field, k)
     table = curve._class_table()
-    draws = RandomSource(seed).below(curve.jacobian_order(), samples)  # 1 + sum(table)
     # x - x1 at position x1 gives x1; x^2 + a*x + b at q + b*q + a gives b
     # (product) or -a (sum), so the quadratics run a row of q per b
     if kind.uses_product:
@@ -245,6 +244,7 @@ def monte_carlo_distribution(
         quadratics = chain.from_iterable(repeat([neg(a) % m for a in range(q)], q))
     outcomes = chain([x % m for x in range(q)], quadratics)
     per_class = [zero, *chain.from_iterable(map(repeat, outcomes, table))]
+    draws = RandomSource(seed).below(len(per_class), samples)  # |J| = 1 + sum(table)
     return Tally.from_outcomes(m, map(per_class.__getitem__, draws))
 
 

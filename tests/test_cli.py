@@ -1038,7 +1038,11 @@ ERROR_LINES = [
      "k must be in [1, 1] for sum over F_7, got 2"),
     (["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1", "--extractor", "sk", "--k", "1"],
      "sk is defined over prime fields only, field has degree 2"),
-    (["charsum", "--mode", "interval", "--p", "9"], "p = 9 is not prime"),
+    # interval mode builds its field like every other command
+    (["charsum", "--mode", "interval", "--p", "9"], "p=9 is not prime"),
+    (["charsum", "--mode", "interval", "--p", "2"], "characteristic 2 is not supported"),
+    (["charsum", "--mode", "interval", "--p", "7", "--modulus", "1,0,1"],
+     "modulus degree 2 does not match n=1"),
     (["extract-sd", *F7_ARGS, "--extractor", "sum", "--k", "1", "--mode", "montecarlo"],
      "montecarlo mode requires --samples and --seed"),
     (["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1", "--extractor", "pk", "--k", "1",
@@ -1051,8 +1055,13 @@ ERROR_LINES = [
      "k must be in [1, 2] for sum over F_9, got 3"),
 ]
 
+# a message that charsum repeats is told apart by its command and mode
+ERROR_IDS: list[str] = []
+for argv, message in ERROR_LINES:
+    ERROR_IDS.append(f"{argv[0]} {argv[2]}: {message}" if message in ERROR_IDS else message)
 
-@pytest.mark.parametrize("argv,message", ERROR_LINES, ids=[m for _, m in ERROR_LINES])
+
+@pytest.mark.parametrize("argv,message", ERROR_LINES, ids=ERROR_IDS)
 def test_library_check_exits_2_with_its_message(capsys, argv, message):
     """Each library check reaches stderr as its message alone, exit 2."""
     code, out, err = run(capsys, argv)

@@ -5,9 +5,11 @@ algorithm), scalar multiplication (the signed-digit ladder against a
 binary one and repeated addition, on fresh and remembered doubling
 chains, which stay bounded and per curve), Jacobian enumeration (cross-checked
 against naive and O(q^3) scan oracles and the zeta-function identity for
-#J), the counted runs of classes per u, and the prime-field count on
-ints against the per-u table."""
+#J), the counted runs of classes per u, the prime-field count on ints
+against the per-u table, and the inputs both counts read against the
+norm of f mod u and the points."""
 
+import collections
 import itertools
 
 import pytest
@@ -25,6 +27,7 @@ from xjac.poly import (
     Poly,
     raw_add,
     raw_divmod,
+    raw_eval,
     raw_gcd,
     raw_mul,
     raw_neg,
@@ -934,8 +937,36 @@ def with_factor(K, factor):
 
 
 class TestPrimeCount:
-    """value_counts over F_p counts on ints in O(p) memory; the per-u
-    table (_count_table) is its oracle."""
+    """value_counts over F_p counts on ints in O(p) memory.  Both walks,
+    _count_prime and the per-u table (_count_table), read _count_inputs,
+    so their agreement checks the walks only; enumeration
+    (test_counted_order_and_values_match_enumeration) and
+    test_count_inputs_match_independent_routes are the oracles."""
+
+    @pytest.mark.parametrize("p, n, pairs", [
+        (7, 1, None), (11, 1, None), (3, 2, None), (5, 2, None), (3, 3, None),
+        (101, 1, 500), (3, 7, 200),
+    ], ids=["F7", "F11", "F9", "F25", "F27", "F101-seeded", "F3^7-vector"])
+    def test_count_inputs_match_independent_routes(self, p, n, pairs):
+        """N_a(b) against r0*(r0 - a*r1) + b*r1^2 with (r1, r0) from
+        _f_mod_quadratic, at every (a, b) or at seeded pairs; w1[x]
+        against the points over x; and h = -a/2 by 2h + a = 0."""
+        K = finite_field(p, n)
+        add, sub, mul = K._add, K._sub, K._mul
+        curve = seeded_quintic(K, 9000 + 10 * p + n)
+        _, w1, hs, norms = curve._count_inputs()
+        if pairs is None:
+            ab = itertools.product(range(K.q), repeat=2)
+        else:
+            draws = RandomSource(p + n).below(K.q, 2 * pairs)
+            ab = zip(draws[::2], draws[1::2])
+        for a, b in ab:
+            r1, r0 = curve._f_mod_quadratic(a, b)
+            norm = add(mul(r0, sub(r0, mul(a, r1))), mul(b, mul(r1, r1)))
+            assert raw_eval(K, [*norms[a], 1], b) == norm, (a, b, curve.f)
+        over_x = collections.Counter(x for x, _ in curve.points())
+        assert w1 == [over_x[x] for x in range(K.q)]
+        assert all(add(add(h, h), a) == 0 for a, h in enumerate(hs))
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 101])
     def test_equals_table_walk(self, p):
