@@ -12,9 +12,9 @@ Report bytes depend only on the configuration (including seeds), never on
 cache warmth or wall time, so reruns are byte-identical and diffable.
 Timing and cache-hit information goes to stderr only; the enumeration
 cache serves jacobian alone, and extract-sd and sweep never touch it.
-One argparse parser types, defaults and checks every option.  A --config
-file is read as the flags it stands for, placed before the command
-line's own, so flags win.  Options, --out's directory included, are
+One argparse parser, built once per process, types, defaults and checks
+every option.  A --config file is read as the flags it stands for,
+placed before the command line's own, so flags win.  Options, --out's directory included, are
 checked before any work or cache lookup, and so is the work cap
 --budget, judged here alone on each command's estimate, a closed form
 of its options, before anything it prices is built:
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -394,7 +395,7 @@ def _extract_row(
     return (
         _extract_cell(command, curve, kind, k, mode, samples, seed)
         | {"jacobian_order": order}
-        | vars(rep)
+        | rep._asdict()
         | {"status": "ok"}
     )
 
@@ -445,7 +446,7 @@ def cmd_charsum(args: argparse.Namespace) -> int:
         for L in range(1, p + 1) if L_single is None else (L_single,):
             rep = interval_char_sum(p, L)
             rows.append(
-                base | vars(rep) | {
+                base | rep._asdict() | {
                     "experiment_id": f"charsum-interval-p{p}-L{L}",
                     "n": field.n,
                     "q": field.q,
@@ -502,16 +503,16 @@ def cmd_charsum(args: argparse.Namespace) -> int:
                     )
                     fixed = base | {"poly": pstr, "expected": root_q}
                     for a in range(1, q):
-                        rep = poly_char_sum(field, P, a)
-                        gauss_ok = abs(rep.magnitude - root_q) <= 1e-6 * root_q
+                        mag, bound, ratio = poly_char_sum(field, P, a)
+                        gauss_ok = abs(mag - root_q) <= 1e-6 * root_q
                         rows.append({
                             **fixed,
-                            **vars(rep),
+                            "magnitude": mag,
+                            "bound": bound,
+                            "ratio": ratio,
                             "experiment_id": f"{prefix}{a}",
                             "a": a,
-                            "status": "pass"
-                            if (gauss_ok and rep.magnitude <= rep.bound)
-                            else "fail",
+                            "status": "pass" if (gauss_ok and mag <= bound) else "fail",
                         })
         else:  # winterhof
             for basis in bases:
@@ -519,7 +520,7 @@ def cmd_charsum(args: argparse.Namespace) -> int:
                 dev = abs(rep.magnitude - q)
                 bstr = ";".join(map(str, basis))
                 rows.append(
-                    base | vars(rep) | {
+                    base | rep._asdict() | {
                         "experiment_id": (
                             f"charsum-winterhof-p{field.p}-n{field.n}-basis{bstr or 'none'}"
                         ),
@@ -660,30 +661,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.config_options = {}
 
-    def command(name, func, help, *options):
+    def command(name, help, *options):
         sp = sub.add_parser(name, help=help)
-        sp.set_defaults(func=func)
         sp.add_argument("--config", help="JSON file of option values; flags win")
         kept = parser.config_options[name] = {}
         for flag, kw in (*options, *_COMMON):
             kept[sp.add_argument(flag, **kw).dest] = (flag, kw.get("type"))
 
-    command("jacobian", cmd_jacobian, "enumerate a Jacobian and check its size",
+    command("jacobian", "enumerate a Jacobian and check its size",
             *_FIELD, _F, _CACHE)
-    command("extract-sd", cmd_extract_sd, "extractor output distribution and SD",
+    command("extract-sd", "extractor output distribution and SD",
             *_FIELD, _F,
             ("--extractor", dict(type=extractor, help="sum, prod, sk or pk")),
             ("--k", dict(type=int, help="output length")),
             ("--mode", dict(choices=["exact", "montecarlo"], default="exact")),
             ("--samples", dict(type=int, help="montecarlo sample count")),
             ("--seed", dict(type=int, help="montecarlo RNG seed")), _CACHE)
-    command("charsum", cmd_charsum, "character-sum law checks",
+    command("charsum", "character-sum law checks",
             *_FIELD,
             ("--mode", dict(choices=CHARSUM_MODES)),
             ("--basis", dict(type=int_list,
                              help="winterhof: basis indices i,j,... (default all)")),
             ("--L", dict(type=int, help="interval: single length (default all)")))
-    command("sweep", cmd_sweep, "extract-sd over a (p, extractor, k) grid",
+    command("sweep", "extract-sd over a (p, extractor, k) grid",
             ("--p", dict(type=int_list, help="comma list of primes")),
             _N,
             ("--f", dict(help="curve template; a bare c token is swept per prime")),
@@ -695,8 +695,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call of the process; parsing
+    leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
@@ -709,7 +716,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--out {args.out}: is a directory")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ValueError(f"--out {args.out}: no such directory")
-        return args.func(args)
+        # looked up by name when it runs, so a cmd_* replaced after import runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:  # argparse: --help or a bad option
         code = exc.code
         if code is None:

@@ -8,9 +8,12 @@ is encoded as the integer sum_i c_i * p**i, so the encodings are exactly
 For n > 1 there is one arithmetic: F_p[x]/(modulus) on base-p digit
 lists through the shared poly.raw_* kernels over finite_field(p), products
 reduced by raw_divmod and inverses from raw_xgcd.  Fields with q <= 1024
-memoize it in full operation tables (multiplication and inverse through
-exp/log tables of a primitive element, filled from the digit ops), so the
-observable behaviour is the same on both sides of the cap.
+memoize it in full operation tables, so the observable behaviour is the
+same on both sides of the cap.  Each row is one C-level gather
+(operator.itemgetter) of a row built before it: the addition row of a
+from that of a less its top digit, and the multiplication row of g e
+from that of e, for a primitive element g whose multiples come from the
+digit-vector products x^i g.  Negatives and inverses are read off them.
 
 The kernels are imported inside the functions that use them because poly
 imports this module.  The modulus search builds no p-sized table.
@@ -19,6 +22,7 @@ imports this module.  The modulus search builds no p-sized table.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 # Largest supported field size: keeps every encoding inside a machine word
@@ -207,39 +211,53 @@ class FiniteField:
         return v
 
     def _bind_table_ops(self):
-        p, q = self.p, self.q
-        # the tables memoize the digit-vector arithmetic, so they are filled
-        # from its bound ops before the lookups replace them
+        p, n, q = self.p, self.n, self.q
+        # the tables memoize the digit-vector arithmetic, so the products
+        # they hold come from its bound mul before the lookups replace it
         self._bind_vector_ops()
         mul = self._mul
 
-        # exp/log tables of a primitive element g, found by walking the
-        # powers of each candidate until one has order q - 1; exp2 repeats
-        # exp so log a + log b needs no modulo
-        for g in range(2, q):
+        # base-p addition has no carries: adding x^k steps digit k of b
+        # round [0, p), and for a with top digit at x^k, a + b = (a - x^k)
+        # + (x^k + b), so the row of a gathers the row of a - x^k < a
+        add_t = [tuple(range(q))]
+        for k in range(n):
+            top = p**k
+            shift = itemgetter(
+                *[b + top if b // top % p < p - 1 else b - (p - 1) * top for b in range(q)]
+            )
+            for a in range(top, top * p):
+                add_t.append(shift(add_t[a - top]))
+        neg_t = [row.index(0) for row in add_t]
+
+        # a primitive element g, found by walking the powers of each
+        # candidate outside F_p (whose orders divide p - 1) until one has
+        # order q - 1.  e -> e g is F_p-linear, so the images of the x^i
+        # (one product each) give e g for every e, summed digit by digit
+        # in add_t, the last digit slowest
+        for g in range(p, q):
+            times_g = [0]
+            for i in reversed(range(n)):
+                multiples, xg = [0], mul(p**i, g)
+                for _ in range(p - 1):
+                    multiples.append(add_t[multiples[-1]][xg])
+                times_g = [add_t[t][m] for t in times_g for m in multiples]
             exp, e = [1], g
             while e != 1:
                 exp.append(e)
-                e = mul(e, g)
+                e = times_g[e]
             if len(exp) == q - 1:
                 break
-        log = [0] * q
-        for i, e in enumerate(exp):
-            log[e] = i
-        exp2 = exp + exp
-        logs = log[1:]
-        mul_t = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
-        inv_t: list[int | None] = [None] + [exp[-la] for la in logs]
-        neg_t = [self._neg(a) for a in range(q)]
 
-        # base-p addition has no carries: for b = p*d + m (d-major order)
-        # add(a, b) = p * add(a // p, d) + add_p[a % p][m], and the row of
-        # a // p < a is already built
-        add_p = [[(x + y) % p for y in range(p)] for x in range(p)]
-        add_t = [list(range(q))]
-        for a in range(1, q):
-            high, low = add_t[a // p][: q // p], add_p[a % p]
-            add_t.append([p * h + lo for h in high for lo in low])
+        # e (g b) = (g e) b, so the row of g e gathers the row of e at the
+        # entries of times_g, starting from the row of 1; (g^i)^-1 = g^-i
+        shift = itemgetter(*times_g)
+        mul_t = [(0,) * q] * q
+        inv_t: list[int | None] = [None] * q
+        row = tuple(range(q))
+        for i, e in enumerate(exp):
+            mul_t[e], inv_t[e] = row, exp[-i]
+            row = shift(row)
 
         self._add = lambda a, b: add_t[a][b]
         self._mul = lambda a, b: mul_t[a][b]

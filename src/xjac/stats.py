@@ -25,10 +25,9 @@ import functools
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .curve import HyperellipticCurve
 from .extractors import ExtractorKind, extract, outcome_count, outcome_index
@@ -251,8 +250,7 @@ def monte_carlo_distribution(
 # -- assembled report ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SDReport:
+class SDReport(NamedTuple):
     """The statistics of a result row; the row's identity columns (extractor,
     k, mode, samples, seed) are the caller's."""
 

@@ -160,9 +160,45 @@ def test_winterhof_same_floats_as_characters(p, n):
 def test_winterhof_same_floats_as_characters_vector_backend():
     K = finite_field(3, 7)
     rng = random.Random(2187)
-    for basis in [[], sorted(rng.sample(range(7), 1)), sorted(rng.sample(range(7), 2))]:
+    for basis in [[], *(sorted(rng.sample(range(7), d)) for d in (1, 2, 3))]:
         rep = winterhof_sum(K, AdditiveSubgroup(K, basis))
         assert rep.magnitude == winterhof_by_characters(K, basis)
+
+
+@pytest.mark.parametrize("basis", [[3], [0, 5], [1, 4, 6]])
+def test_winterhof_one_inner_sum_per_trace_vector(basis, monkeypatch):
+    """The inner sum of a depends on a only through (Tr(a x^i))_{i in b}:
+    one _digit_dots call per distinct trace vector, p^|b| of them, besides
+    one trace table per basis index."""
+    K = finite_field(3, 7)
+    calls = []
+    digit_dots = charsum._digit_dots
+
+    def counting_digit_dots(p, coeffs):
+        calls.append(tuple(coeffs))
+        return digit_dots(p, coeffs)
+
+    monkeypatch.setattr(charsum, "_digit_dots", counting_digit_dots)
+    rep = winterhof_sum(K, AdditiveSubgroup(K, basis))
+    tables = [c for c in calls if len(c) == K.n]
+    inner = [c for c in calls if len(c) == len(basis)]
+    assert len(tables) == len(basis) and len(tables) + len(inner) == len(calls)
+    assert len(inner) == len(set(inner)) == K.p ** len(basis)
+    assert set(inner) == {
+        tuple(Character(K, a)._trace_axi[i] for i in basis) for a in range(K.q)
+    }
+    assert abs(rep.magnitude - K.q) <= 1e-6 * K.q
+
+
+def test_orthogonality_same_floats_alternating_fields():
+    """The trace tables are kept for one field at a time; switching fields,
+    including to one of the same q under another modulus, rebuilds them."""
+    fields = [finite_field(3, 3), finite_field(3, 3, (2, 0, 1, 1)), finite_field(5, 2)]
+    want = {K: [orthogonality_by_characters(K, a) for a in range(K.q)] for K in fields}
+    for a in range(27):
+        for K in fields:
+            if a < K.q:
+                assert orthogonality_sum(K, a) == want[K][a], (K, a)
 
 
 class TestPolySums:

@@ -470,6 +470,30 @@ class TestCharsum:
             (",".join(map(str, coeffs)), str(a)) for coeffs, a in calls
         ]
 
+    @pytest.mark.parametrize("argv, name, column, cell, count", [
+        (["--mode", "interval", "--p", "7"], "interval_char_sum", "L",
+         lambda p, L: str(L), 7),  # L = 1..7
+        (["--mode", "winterhof", "--p", "3", "--n", "3"], "winterhof_sum", "basis",
+         lambda K, V: ";".join(map(str, V.basis)), 8),  # the 2^3 bases
+    ])
+    def test_one_sum_per_row_by_its_cli_name(self, capsys, monkeypatch, argv, name,
+                                             column, cell, count):
+        """Each row calls the sum the cli module imports, looked up there by
+        name, so a stand-in patched on cli (a tracing span) sees every row."""
+        calls = []
+        checked = getattr(cli, name)
+
+        def record(*args):
+            calls.append(args)
+            return checked(*args)
+
+        monkeypatch.setattr(cli, name, record)
+        code, out, _ = run(capsys, ["charsum", *argv])
+        assert code == 0
+        rows = rows_of(out)
+        assert len(rows) == count
+        assert [r[column] for r in rows] == [cell(*args) for args in calls]
+
     # SHA-256 of stdout, taken from the renderer that encoded each row with
     # json.dumps and each CSV cell with _csv_cell, before the per-report
     # key and float memo replaced it
@@ -1147,6 +1171,34 @@ PROCESS_CASES = [
     ("sweep --p 1000003 --f 0,0,c,0,0,1 --c 1 --extractor sum", 2,
      "error: no squarefree instance of template '0,0,c,0,0,1' over F_1000003\n"),
 ]
+
+
+def test_main_builds_one_parser_and_runs_commands_patched_later(capsys, monkeypatch):
+    """main parses with one parser per process, and finds the command by
+    its name when it runs, so a cmd_* replaced after the parser was built
+    is the one that runs."""
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, ["charsum", "--mode", "interval", "--p", "3"])[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_charsum", lambda args: seen.append(args.p) or 7)
+        assert run(capsys, ["charsum", "--mode", "interval", "--p", "5"])[0] == 7
+        assert seen == [5] and builds == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_import_leaves_dataclasses_unloaded():
+    """dataclasses imports inspect, ast, dis and tokenize, a cost every
+    process would pay at start-up for two small report records."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    code = "import sys, xjac.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=30, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_cli_runs_as_a_process():

@@ -153,13 +153,12 @@ def test_vector_backend_matches_tables():
             assert big.mul(a, big.inv(a)) == 1
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 4), (3, 5)])
-def test_table_backend_matches_digit_vectors(p, n):
+def check_table_backend(K):
     # every add/sub/neg/mul/inv table entry against digit-vector arithmetic,
     # with products reduced by poly.raw_divmod
     from xjac.poly import raw_divmod, raw_mul
 
-    K = finite_field(p, n)
+    p = K.p
     Fp = finite_field(p)
     q = K.q
     dec = [K.coords(a) for a in range(q)]
@@ -176,6 +175,17 @@ def test_table_backend_matches_digit_vectors(p, n):
             assert K.mul(a, K.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         K.inv(0)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 4), (3, 5), (11, 2)])
+def test_table_backend_matches_digit_vectors(p, n):
+    check_table_backend(finite_field(p, n))
+
+
+def test_table_backend_matches_digit_vectors_custom_modulus():
+    K = finite_field(3, 2, (2, 2, 1))
+    assert K.modulus != finite_field(3, 2).modulus
+    check_table_backend(K)
 
 
 def test_table_backend_runs_no_polynomial_kernel_after_construction(monkeypatch):

@@ -464,7 +464,7 @@ class TestSDReport:
         written once, by the CLI's _extract_cell."""
         t = monte_carlo_distribution(c7, ExtractorKind.PROD, 1, 500, seed=9)
         rep = sd_report(c7, ExtractorKind.PROD, 1, t)
-        assert not {"extractor", "k", "mode", "samples", "seed"} & set(vars(rep))
+        assert not {"extractor", "k", "mode", "samples", "seed"} & set(rep._fields)
         row = cli._extract_row(c7, ExtractorKind.PROD, 1, "montecarlo", 500, 9, "extract-sd")
         assert (row["extractor"], row["k"], row["mode"], row["samples"], row["seed"]) == (
             "prod", 1, "montecarlo", 500, 9
