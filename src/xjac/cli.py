@@ -461,12 +461,12 @@ def cmd_charsum(args: argparse.Namespace) -> int:
             est = q * q
         elif mode == "mordell":
             est = q**3 * (q - 1)
-        elif args.basis is not None:  # winterhof over one basis
-            bases = [tuple(sorted(args.basis))]
-            est = q * field.p ** len(bases[0])
+        elif args.basis is not None:  # winterhof over one basis, checked first
+            subgroups = [AdditiveSubgroup(field, sorted(args.basis))]
+            est = q * field.p ** subgroups[0].dim
         else:  # winterhof over every subset b of 0..n-1, made one at a time
-            bases = (
-                tuple(i for i in range(field.n) if mask >> i & 1)
+            subgroups = (
+                AdditiveSubgroup(field, [i for i in range(field.n) if mask >> i & 1])
                 for mask in range(2**field.n)
             )
             # the sum of q * p^|b| over those b, by the binomial theorem
@@ -515,10 +515,10 @@ def cmd_charsum(args: argparse.Namespace) -> int:
                             "status": "pass" if (gauss_ok and mag <= bound) else "fail",
                         })
         else:  # winterhof
-            for basis in bases:
-                rep = winterhof_sum(field, AdditiveSubgroup(field, basis))
+            for sub in subgroups:
+                rep = winterhof_sum(field, sub)
                 dev = abs(rep.magnitude - q)
-                bstr = ";".join(map(str, basis))
+                bstr = ";".join(map(str, sub.basis))
                 rows.append(
                     base | rep._asdict() | {
                         "experiment_id": (
@@ -582,7 +582,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # validate the whole grid before doing any work
     fields = [finite_field(p, args.n) for p in ps]
-    for field in fields:
+    for field, c in zip(fields, cs):
+        if c is not None:
+            field._check(c)
         for kind in kinds:
             for k in ks:
                 outcome_count(kind, field, k)

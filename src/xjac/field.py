@@ -16,7 +16,8 @@ from that of e, for a primitive element g whose multiples come from the
 digit-vector products x^i g.  Negatives and inverses are read off them.
 
 The kernels are imported inside the functions that use them because poly
-imports this module.  The modulus search builds no p-sized table.
+imports this module.  The modulus search builds no p-sized table, and the
+traces Tr(x^k) come from the modulus alone, by Newton's identities.
 """
 
 from __future__ import annotations
@@ -352,25 +353,19 @@ class FiniteField:
         return self._pow(a, self.p)
 
     def _trace_powers(self) -> tuple[int, ...]:
-        """Tr(x^k) for k in [0, 2n - 1), computed on first use: Frobenius
-        sums for k < n, then Tr(x^k) = sum_i d_i Tr(x^i) over the base-p
-        digits d_i of x^k.  trace() reads the first n values and charsum's
-        characters all of them."""
+        """Tr(x^k) for k in [0, 2n - 1), computed on first use from the
+        modulus c_0 + c_1 x + ... + c_n x^n alone.  Tr(x^k) is the power
+        sum P_k of its roots, so by Newton's identities P_0 = n and
+        P_k = -(k c_(n-k) [k <= n] + sum_(j=1..min(k-1, n)) c_(n-j) P_(k-j)),
+        all mod p; no field operation runs.  trace() reads the first n
+        values and charsum's characters all of them."""
         if self._trace_xk is None:
-            p, n = self.p, self.n
-            txk = []
-            for i in range(n):
-                s = x = p**i  # the encoding of x^i
-                for _ in range(n - 1):
-                    x = self._pow(x, p)
-                    s = self._add(s, x)
-                # trace lands in the prime subfield, whose encodings are 0..p-1
-                assert s < p
-                txk.append(s)
-            xk = p ** (n - 1)
-            for _ in range(n - 1):
-                xk = self._mul(xk, p)  # x^k = x^(k-1) * x, and x encodes as p
-                txk.append(sum(d * t for d, t in zip(self._vec_decode(xk), txk)) % p)
+            p, n, c = self.p, self.n, self.modulus
+            txk = [n % p]
+            for k in range(1, 2 * n - 1):
+                s = k * c[n - k] if k <= n else 0
+                s += sum(c[n - j] * txk[k - j] for j in range(1, min(k - 1, n) + 1))
+                txk.append(-s % p)
             self._trace_xk = tuple(txk)
         return self._trace_xk
 

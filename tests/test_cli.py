@@ -1077,6 +1077,16 @@ ERROR_LINES = [
      "k must be in [1, 2] for pk over F_7, got 3"),
     (["extract-sd", "--p", "3", "--n", "2", "--f", "1,0,0,0,0,1", "--extractor", "sum", "--k", "3"],
      "k must be in [1, 2] for sum over F_9, got 3"),
+    # a bad basis exits 2 before the budget prices it
+    (["charsum", "--mode", "winterhof", "--p", "3", "--n", "3", "--basis", "0,0", "--budget", "1"],
+     "basis must be distinct indices in [0, 3), got [0, 0]"),
+    (["charsum", "--mode", "winterhof", "--p", "3", "--n", "3", "--basis", "5", "--budget", "1"],
+     "basis must be distinct indices in [0, 3), got [5]"),
+    # a swept c is an element encoding, as it would be written in --f
+    (["sweep", "--p", "7", "--f", "1,c,0,0,0,1", "--c", "9", "--extractor", "sum"],
+     "9 is not an element encoding of F_7"),
+    (["sweep", "--p", "7", "--f", "1,c,0,0,0,1", "--c", "-5", "--extractor", "sum"],
+     "-5 is not an element encoding of F_7"),
 ]
 
 # a message that charsum repeats is told apart by its command and mode
@@ -1197,6 +1207,17 @@ def test_import_leaves_dataclasses_unloaded():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     code = "import sys, xjac.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=30, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_import_loads_only_the_standard_library():
+    """xjac promises pure standard library.  -S keeps site hooks (a
+    site-installed package's .pth file) out of the count."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    code = ("import sys, xjac.cli; print(sorted({m.partition('.')[0] for m in sys.modules}"
+            " - set(sys.stdlib_module_names) - {'xjac', '__main__'}))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, timeout=30, check=True).stdout
     assert out == "[]\n"
 

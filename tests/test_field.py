@@ -297,6 +297,56 @@ def test_trace_matches_frobenius_sum(p, n):
         assert K.trace(a) == s
 
 
+# default moduli on both extension backends, two custom ones, F_3^6
+# (p | n, so Tr(1) = 0) and a linear modulus
+TRACE_FIELDS = [
+    (7, 1, None), (7, 1, (3, 1)), (3, 2, None), (3, 2, (2, 2, 1)), (3, 3, (2, 0, 1, 1)),
+    (3, 4, None), (5, 3, None), (3, 6, None), (3, 7, None), (3, 8, None),
+]
+
+
+@pytest.mark.parametrize("p,n,modulus", TRACE_FIELDS)
+def test_trace_powers_match_frobenius_sums(p, n, modulus):
+    """_trace_powers reads the modulus; the oracle sums the Frobenius
+    images of x^k in the field's arithmetic.  x encodes as p when n > 1."""
+    K = FiniteField(p, n, modulus)
+    txk = K._trace_powers()
+    assert len(txk) == 2 * n - 1
+    for k, t in enumerate(txk):
+        s = y = K.pow(p, k) if n > 1 else 1
+        for _ in range(n - 1):
+            y = K.frobenius(y)
+            s = K.add(s, y)
+        assert s == t
+
+
+def test_trace_powers_run_no_field_arithmetic(monkeypatch):
+    """With every field operation raising, the traces and the character
+    sums that read them keep the values of a working F_3^7."""
+    from xjac import charsum
+
+    def sums(K):
+        return (
+            K._trace_powers(),
+            [charsum.orthogonality_sum(K, a) for a in (0, 1, 5, K.q - 1)],
+            charsum.winterhof_sum(K, charsum.AdditiveSubgroup(K, [0, 2])),
+        )
+
+    ref = finite_field(3, 7)
+    expected = sums(ref)
+    # the cache keeps one field, and K == ref would hit ref's tables
+    charsum._trace_tables.cache_clear()
+    K = FiniteField(3, 7)
+
+    def raising(*args):
+        raise AssertionError("a field operation ran")
+
+    for op in ("_add", "_sub", "_mul", "_neg", "_inv"):
+        monkeypatch.setattr(K, op, raising)
+    monkeypatch.setattr(FiniteField, "_pow", raising)
+    assert sums(K) == expected
+
+
 def test_coords_roundtrip_bijection():
     K = finite_field(3, 3)
     seen = set()
