@@ -175,22 +175,25 @@ def poly_char_sum(field: FiniteField, P: Poly, a: int = 1) -> CharSumReport:
     )
 
 
+def basis_indices(n: int, basis: Iterable[int]) -> tuple[int, ...]:
+    """basis sorted, once checked to name distinct indices in [0, n)."""
+    idx = list(basis)
+    seen = set()
+    for i in idx:
+        if type(i) is not int or not 0 <= i < n or i in seen:
+            raise ValueError(f"basis must be distinct indices in [0, {n}), got {idx!r}")
+        seen.add(i)
+    return tuple(sorted(seen))
+
+
 class AdditiveSubgroup:
     """F_p-span of a subset of the power basis {x^i : i in basis}."""
 
     __slots__ = ("field", "basis")
 
     def __init__(self, field: FiniteField, basis: Iterable[int]):
-        idx = list(basis)
-        seen = set()
-        for i in idx:
-            if type(i) is not int or not 0 <= i < field.n or i in seen:
-                raise ValueError(
-                    f"basis must be distinct indices in [0, {field.n}), got {idx!r}"
-                )
-            seen.add(i)
         self.field = field
-        self.basis = tuple(sorted(seen))
+        self.basis = basis_indices(field.n, basis)
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,9 @@ checked before any work or cache lookup, and so is the work cap
 of its options, before anything it prices is built:
 (sqrt(q) + 1)^4 classes for jacobian, extract-sd and each sweep curve,
 and also the sample count for a Monte-Carlo extract-sd, the character
-evaluations for charsum.
+evaluations for charsum.  Reports are rendered and written CHUNK_ROWS
+rows at a time; an --out file is written under a temporary name and
+moved into place once complete.
 Exit codes:
 0 success (warnings allowed), 1 a jacobian row whose status is fail or a
 charsum row whose status is not pass (the rows are still written),
@@ -40,12 +42,16 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import time
+from itertools import islice
+from typing import Iterable, Iterator
 
 from . import cache
 from .charsum import (
     AdditiveSubgroup,
+    basis_indices,
     interval_char_sum,
     orthogonality_sum,
     poly_char_sum,
@@ -53,7 +59,7 @@ from .charsum import (
 )
 from .curve import HyperellipticCurve, NotSquarefreeError
 from .extractors import ExtractorKind, outcome_count
-from .field import FiniteField, finite_field
+from .field import FiniteField, field_modulus, finite_field
 from .poly import Poly
 from .stats import (
     RandomSource,
@@ -208,19 +214,41 @@ def _float_text(val: float, texts: dict, fmt) -> str:
     return text
 
 
-def render_csv(columns: list[str], rows: list[dict]) -> str:
+# rows rendered and written at a time: a report never holds all its rows
+# or all its text at once
+CHUNK_ROWS = 512
+
+
+def _chunks(rows: Iterable[dict]) -> Iterator[list[dict]]:
+    """rows in lists of CHUNK_ROWS, the last one shorter; none when empty."""
+    it = iter(rows)
+    while chunk := list(islice(it, CHUNK_ROWS)):
+        yield chunk
+
+
+def _csv_chunks(columns: list[str], rows: Iterable[dict]) -> Iterator[str]:
+    """The CSV report in pieces, the header with the first chunk of rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     texts: dict = {}
-    writer.writerows(
-        [
-            _float_text(v, texts, _csv_cell) if type(v) is float else _csv_cell(v)
-            for v in map(row.get, columns)
-        ]
-        for row in rows
-    )
-    return buf.getvalue()
+    for chunk in _chunks(rows):
+        writer.writerows(
+            [
+                _float_text(v, texts, _csv_cell) if type(v) is float else _csv_cell(v)
+                for v in map(row.get, columns)
+            ]
+            for row in chunk
+        )
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+    if buf.tell():  # no rows: the header alone
+        yield buf.getvalue()
+
+
+def render_csv(columns: list[str], rows: Iterable[dict]) -> str:
+    return "".join(_csv_chunks(columns, rows))
 
 
 # the encoder json.dumps uses for a str, ensure_ascii included
@@ -248,38 +276,94 @@ def _json_row(heads: list, row: dict, texts: dict) -> str:
     return "".join(cells)
 
 
-def render_json(command: str, columns: list[str], rows: list[dict]) -> str:
+def _json_chunks(command: str, columns: list[str], rows: Iterable[dict]) -> Iterator[str]:
     """json.dumps({"schema", "command", "rows"}, sort_keys=True, indent=2)
-    plus a newline, byte for byte; columns is non-empty and every cell a
-    JSON scalar.  indent=2 makes json.dumps fall back to the pure-Python
-    encoder, so the layout is written here, each key encoded once per
-    report and each distinct float formatted once."""
+    plus a newline, byte for byte, in pieces, the head with the first
+    chunk of rows; columns is non-empty and every cell a JSON scalar.
+    indent=2 makes json.dumps fall back to the pure-Python encoder, so the
+    layout is written here, each key encoded once per report and each
+    distinct float formatted once."""
     heads = [
         (("{" if i == 0 else ",") + "\n      " + _encode_str(col) + ": ", col)
         for i, col in enumerate(sorted(set(columns)))
     ]
     texts: dict = {}
-    body = ",\n    ".join(_json_row(heads, row, texts) for row in rows)
-    rows_text = f"[\n    {body}\n  ]" if rows else "[]"
-    return (
-        f'{{\n  "command": {json.dumps(command)},\n  "rows": {rows_text},\n'
-        f'  "schema": {json.dumps(SCHEMA_VERSION)}\n}}\n'
-    )
+    head = f'{{\n  "command": {json.dumps(command)},\n  "rows": ['
+    sep = "\n    "
+    for chunk in _chunks(rows):
+        yield head + sep + ",\n    ".join(_json_row(heads, row, texts) for row in chunk)
+        head, sep = "", ",\n    "
+    # head is still unwritten only when there were no rows: "rows": []
+    end = "]" if head else "\n  ]"
+    yield f'{head}{end},\n  "schema": {json.dumps(SCHEMA_VERSION)}\n}}\n'
+
+
+def render_json(command: str, columns: list[str], rows: Iterable[dict]) -> str:
+    return "".join(_json_chunks(command, columns, rows))
+
+
+def _stand_in(path: str, tmp: str) -> int | None:
+    """A descriptor of tmp, a new file beside path that os.replace can move
+    onto path changing nothing but its bytes: path is missing, or a plain
+    file (not a symlink, no other hard link) this process may write, whose
+    mode and owner the new file takes.  None for anything else (a device
+    such as /dev/null, a symlink, a directory that takes no new file),
+    which is then written in place."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (
+        stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and os.access(path, os.W_OK)
+    ):
+        return None
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return None
+    if st is not None:
+        try:
+            made = os.fstat(fd)
+            if (made.st_uid, made.st_gid) != (st.st_uid, st.st_gid):
+                os.fchown(fd, st.st_uid, st.st_gid)
+            os.fchmod(fd, stat.S_IMODE(st.st_mode))
+        except OSError:
+            os.close(fd)
+            os.remove(tmp)
+            return None
+    return fd
 
 
 def emit_report(
-    args: argparse.Namespace, command: str, columns: list[str], rows: list[dict]
+    args: argparse.Namespace, command: str, columns: list[str], rows: Iterable[dict]
 ) -> None:
-    text = (
-        render_json(command, columns, rows)
+    """Renders and writes rows, any iterable, CHUNK_ROWS at a time.  An
+    --out file that _stand_in can stand in for is written under a
+    temporary name in its directory and moved into place once complete;
+    on any exception the temporary file is removed and --out is left as
+    it was."""
+    chunks = (
+        _json_chunks(command, columns, rows)
         if args.format == "json"
-        else render_csv(columns, rows)
+        else _csv_chunks(columns, rows)
     )
-    if args.out:
+    if not args.out:
+        for text in chunks:
+            sys.stdout.write(text)
+        return
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    fd = _stand_in(args.out, tmp)
+    if fd is None:
         with open(args.out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(chunks)
+        return
+    try:
+        with open(fd, "w", encoding="ascii", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, args.out)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _note(msg: str) -> None:
@@ -426,70 +510,74 @@ def cmd_extract_sd(args: argparse.Namespace) -> int:
 
 
 def cmd_charsum(args: argparse.Namespace) -> int:
+    """Checks every option and judges the budget on p, n and the basis
+    size before the field, tables included, is built.  The rows are then
+    yielded to emit_report, which writes them a chunk at a time, and
+    counted as they are made."""
     mode = _require(args, "mode")
     evals = f"charsum mode {mode} needs about {{}} character evaluations"
-    p = _require(args, "p")
-
-    rows: list[dict] = []
-    base = {"schema": SCHEMA_VERSION, "command": "charsum", "mode": mode, "p": p}
-    t0 = time.perf_counter()
-
+    p, n = _require(args, "p"), args.n
+    if mode == "interval" and n != 1:
+        raise ValueError("interval sums are defined over prime fields (n = 1)")
+    field_modulus(p, n, args.modulus)  # the field's own checks
+    q = p**n
     if mode == "interval":
-        if args.n != 1:
-            raise ValueError("interval sums are defined over prime fields (n = 1)")
-        field = build_field(args)
         L_single = args.L
         if L_single is not None and not 1 <= L_single <= p:
             raise ValueError(f"L must be in [1, {p}], got {L_single}")
         # the running sums cost p terms per L up to the largest L
-        _require_budget(evals, p * (L_single or p), args.budget)
-        for L in range(1, p + 1) if L_single is None else (L_single,):
-            rep = interval_char_sum(p, L)
-            rows.append(
-                base | rep._asdict() | {
+        est = p * (L_single or p)
+    elif mode == "orthogonality":
+        est = q * q
+    elif mode == "mordell":
+        est = q**3 * (q - 1)
+    elif args.basis is not None:  # winterhof over one basis, checked first
+        bases = [basis_indices(n, sorted(args.basis))]
+        est = q * p ** len(bases[0])
+    else:  # winterhof over every subset b of 0..n-1, made one at a time
+        bases = (tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n))
+        # the sum of q * p^|b| over those b, by the binomial theorem
+        est = q * (p + 1) ** n
+    _require_budget(evals, est, args.budget)
+
+    base = {"schema": SCHEMA_VERSION, "command": "charsum", "mode": mode,
+            "p": p, "n": n, "q": q}
+
+    total = fails = 0
+
+    def rows() -> Iterator[dict]:
+        nonlocal total, fails
+        if mode == "interval":
+            for L in range(1, p + 1) if L_single is None else (L_single,):
+                rep = interval_char_sum(p, L)
+                ok = rep.magnitude <= rep.bound + 1e-9
+                total += 1
+                fails += not ok
+                yield base | rep._asdict() | {
                     "experiment_id": f"charsum-interval-p{p}-L{L}",
-                    "n": field.n,
-                    "q": field.q,
                     "L": L,
-                    "status": "pass" if rep.magnitude <= rep.bound + 1e-9 else "fail",
+                    "status": "pass" if ok else "fail",
                 }
-            )
-    else:
+            return
         field = build_field(args)
-        q = field.q
-        if mode == "orthogonality":
-            est = q * q
-        elif mode == "mordell":
-            est = q**3 * (q - 1)
-        elif args.basis is not None:  # winterhof over one basis, checked first
-            subgroups = [AdditiveSubgroup(field, sorted(args.basis))]
-            est = q * field.p ** subgroups[0].dim
-        else:  # winterhof over every subset b of 0..n-1, made one at a time
-            subgroups = (
-                AdditiveSubgroup(field, [i for i in range(field.n) if mask >> i & 1])
-                for mask in range(2**field.n)
-            )
-            # the sum of q * p^|b| over those b, by the binomial theorem
-            est = q * (field.p + 1) ** field.n
-        _require_budget(evals, est, args.budget)
-        base |= {"n": field.n, "q": q}
         if mode == "orthogonality":
             tol = 1e-9 * q
             for a in range(q):
                 mag = abs(orthogonality_sum(field, a))
                 expected = float(q) if a == 0 else 0.0
                 dev = abs(mag - expected)
-                rows.append(
-                    base | {
-                        "experiment_id": f"charsum-orthogonality-p{field.p}-n{field.n}-a{a}",
-                        "a": a,
-                        "magnitude": mag,
-                        "expected": expected,
-                        "bound": tol,
-                        "ratio": dev / tol,
-                        "status": "pass" if dev <= tol else "fail",
-                    }
-                )
+                ok = dev <= tol
+                total += 1
+                fails += not ok
+                yield base | {
+                    "experiment_id": f"charsum-orthogonality-p{p}-n{n}-a{a}",
+                    "a": a,
+                    "magnitude": mag,
+                    "expected": expected,
+                    "bound": tol,
+                    "ratio": dev / tol,
+                    "status": "pass" if ok else "fail",
+                }
         elif mode == "mordell":
             root_q = math.sqrt(q)
             for c0 in range(q):
@@ -497,43 +585,40 @@ def cmd_charsum(args: argparse.Namespace) -> int:
                     # everything but a and the sum is fixed per P
                     P = Poly(field, (c0, c1, 1))
                     pstr = P.to_string()
-                    prefix = (
-                        f"charsum-mordell-p{field.p}-n{field.n}"
-                        f"-u{pstr.replace(',', '.')}-a"
-                    )
+                    prefix = f"charsum-mordell-p{p}-n{n}-u{pstr.replace(',', '.')}-a"
                     fixed = base | {"poly": pstr, "expected": root_q}
                     for a in range(1, q):
                         mag, bound, ratio = poly_char_sum(field, P, a)
-                        gauss_ok = abs(mag - root_q) <= 1e-6 * root_q
-                        rows.append({
+                        ok = abs(mag - root_q) <= 1e-6 * root_q and mag <= bound
+                        total += 1
+                        fails += not ok
+                        yield {
                             **fixed,
                             "magnitude": mag,
                             "bound": bound,
                             "ratio": ratio,
                             "experiment_id": f"{prefix}{a}",
                             "a": a,
-                            "status": "pass" if (gauss_ok and mag <= bound) else "fail",
-                        })
+                            "status": "pass" if ok else "fail",
+                        }
         else:  # winterhof
-            for sub in subgroups:
-                rep = winterhof_sum(field, sub)
-                dev = abs(rep.magnitude - q)
-                bstr = ";".join(map(str, sub.basis))
-                rows.append(
-                    base | rep._asdict() | {
-                        "experiment_id": (
-                            f"charsum-winterhof-p{field.p}-n{field.n}-basis{bstr or 'none'}"
-                        ),
-                        "basis": bstr,
-                        "expected": float(q),
-                        "status": "pass" if dev <= 1e-6 * q else "fail",
-                    }
-                )
+            for basis in bases:
+                rep = winterhof_sum(field, AdditiveSubgroup(field, basis))
+                ok = abs(rep.magnitude - q) <= 1e-6 * q
+                bstr = ";".join(map(str, basis))
+                total += 1
+                fails += not ok
+                yield base | rep._asdict() | {
+                    "experiment_id": f"charsum-winterhof-p{p}-n{n}-basis{bstr or 'none'}",
+                    "basis": bstr,
+                    "expected": float(q),
+                    "status": "pass" if ok else "fail",
+                }
 
-    emit_report(args, "charsum", CHARSUM_COLUMNS, rows)
+    t0 = time.perf_counter()
+    emit_report(args, "charsum", CHARSUM_COLUMNS, rows())
     ms = (time.perf_counter() - t0) * 1000.0
-    fails = sum(1 for r in rows if r["status"] != "pass")
-    _note(f"charsum: {len(rows)} rows, {fails} failures, runtime_ms = {ms:.1f}")
+    _note(f"charsum: {total} rows, {fails} failures, runtime_ms = {ms:.1f}")
     return 1 if fails else 0
 
 

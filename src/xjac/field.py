@@ -109,6 +109,43 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("unreachable: irreducibles exist for every degree")
 
 
+def field_modulus(
+    p: int, n: int = 1, modulus: Sequence[int] | None = None
+) -> tuple[int, ...]:
+    """The modulus of F_{p^n}: the given one, else find_irreducible(p, n),
+    after every check FiniteField(p, n, modulus) makes (a ValueError naming
+    it).  It builds no field, so a caller can check a field's options and
+    price its work before the field's tables are built."""
+    if type(p) is not int or p < 2:
+        raise ValueError(f"p={p!r} is not a prime >= 3")
+    if p == 2:
+        raise ValueError("characteristic 2 is not supported")
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"extension degree must be >= 1, got {n!r}")
+    q = p**n
+    if q > MAX_FIELD_SIZE:
+        raise ValueError(f"p**n = {q} exceeds the supported range 2**63")
+
+    if modulus is None:
+        return find_irreducible(p, n)
+    from .poly import raw_strip
+
+    mod = list(modulus)
+    for c in mod:
+        if type(c) is not int or not 0 <= c < p:
+            raise ValueError(f"modulus coefficient {c!r} is not in [0, {p})")
+    raw_strip(mod)
+    if len(mod) - 1 != n:
+        raise ValueError(f"modulus degree {len(mod) - 1} does not match n={n}")
+    if mod[-1] != 1:
+        raise ValueError("modulus must be monic")
+    if not _pis_irreducible(mod, p):
+        raise ValueError(f"modulus {tuple(mod)} is reducible over F_{p}")
+    return tuple(mod)
+
+
 class FiniteField:
     """F_{p^n}, p an odd prime, as F_p[x]/(modulus).
 
@@ -132,45 +169,10 @@ class FiniteField:
     )
 
     def __init__(self, p: int, n: int = 1, modulus: Sequence[int] | None = None):
-        if type(p) is not int or p < 2:
-            raise ValueError(f"p={p!r} is not a prime >= 3")
-        if p == 2:
-            raise ValueError("characteristic 2 is not supported")
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        if type(n) is not int or n < 1:
-            raise ValueError(f"extension degree must be >= 1, got {n!r}")
-        q = p**n
-        if q > MAX_FIELD_SIZE:
-            raise ValueError(f"p**n = {q} exceeds the supported range 2**63")
-
-        if modulus is None:
-            mod = list(find_irreducible(p, n))
-        else:
-            from .poly import raw_strip
-
-            mod = list(modulus)
-            for c in mod:
-                if type(c) is not int or not 0 <= c < p:
-                    raise ValueError(
-                        f"modulus coefficient {c!r} is not in [0, {p})"
-                    )
-            raw_strip(mod)
-            if len(mod) - 1 != n:
-                raise ValueError(
-                    f"modulus degree {len(mod) - 1} does not match n={n}"
-                )
-            if mod[-1] != 1:
-                raise ValueError("modulus must be monic")
-            if not _pis_irreducible(mod, p):
-                raise ValueError(
-                    f"modulus {tuple(mod)} is reducible over F_{p}"
-                )
-
+        self.modulus = field_modulus(p, n, modulus)
         self.p = p
         self.n = n
-        self.q = q
-        self.modulus = tuple(mod)
+        self.q = q = p**n
         self._trace_xk = None
         # every lru_cache keyed on a field hashes it per lookup
         self._hash = hash((p, n, self.modulus))

@@ -8,9 +8,11 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
+from argparse import Namespace
 
 import pytest
 
@@ -25,7 +27,7 @@ from xjac.cli import (
     render_json,
 )
 from xjac.curve import HyperellipticCurve, NotSquarefreeError
-from xjac.field import finite_field
+from xjac.field import FiniteField, _cached_field, finite_field
 from xjac.stats import RandomSource
 
 
@@ -367,16 +369,32 @@ class TestCharsum:
         (["--mode", "winterhof", "--p", "3", "--n", "3", "--budget", "100"], 1728),
         (["--mode", "winterhof", "--p", "5", "--n", "2", "--budget", "100"], 900),
         (["--mode", "mordell", "--p", "37"], 1823508),
+        # over fields with q^2 tables, which a refusal must not build
+        (["--mode", "orthogonality", "--p", "31", "--n", "2", "--budget", "100"], 923521),
+        (["--mode", "mordell", "--p", "5", "--n", "2", "--budget", "100"], 375000),
+        (["--mode", "winterhof", "--p", "3", "--n", "5", "--budget", "100"], 248832),
     ], ids=["orthogonality", "winterhof", "winterhof-all-subsets-F27",
-            "winterhof-all-subsets-F25", "mordell-default-budget"])
-    def test_over_budget_exits_3(self, capsys, argv, est):
-        code, out, err = run(capsys, ["charsum", *argv])
+            "winterhof-all-subsets-F25", "mordell-default-budget",
+            "orthogonality-F961", "mordell-F25", "winterhof-F243"])
+    def test_over_budget_exits_3(self, capsys, monkeypatch, tmp_path, argv, est):
+        """The budget is judged on p, n and the basis size before the field
+        is built: a refusal fills no field table, writes nothing to stdout
+        and makes no --out file, temporary or final."""
+
+        def no_tables(self):
+            raise AssertionError(f"tables built for {self!r}")
+
+        monkeypatch.setattr(FiniteField, "_bind_table_ops", no_tables)
+        _cached_field.cache_clear()  # a field cached by another test would hide a build
         budget = argv[-1] if "--budget" in argv else "1000000"
-        assert code == 3 and out == ""
-        assert err == (
-            f"error: charsum mode {argv[1]} needs about {est} character evaluations, "
-            f"budget is {budget}\n"
-        )
+        for out_args in ([], ["--out", str(tmp_path / "r.csv")]):
+            code, out, err = run(capsys, ["charsum", *argv, *out_args])
+            assert code == 3 and out == ""
+            assert err == (
+                f"error: charsum mode {argv[1]} needs about {est} character evaluations, "
+                f"budget is {budget}\n"
+            )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, est", [
         (["--mode", "interval", "--p", "4000037"], 16000296001369),
@@ -962,6 +980,7 @@ class TestOutputFormats:
         emit = cli.emit_report
 
         def record(cfg, command, columns, rows):
+            rows = list(rows)
             seen.append((command, columns, rows))
             emit(cfg, command, columns, rows)
 
@@ -971,6 +990,86 @@ class TestOutputFormats:
         ((command, columns, rows),) = seen
         assert rows
         assert out == render_json(command, columns, rows) == json_reference(command, columns, rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_report_writes_a_chunk_at_a_time(self, monkeypatch, fmt):
+        """Rows are drawn CHUNK_ROWS at a time and each chunk is written
+        before the next is drawn; the pieces join to the whole report."""
+        size = cli.CHUNK_ROWS
+        drawn = []
+
+        def rows():
+            for i in range(3 * size):
+                drawn.append(i)
+                yield {"i": i, "x": i / 7}
+
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append((len(drawn), text))
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        cli.emit_report(Namespace(format=fmt, out=None), "charsum", ["i", "x"], rows())
+        assert [n for n, _ in writes] == [size, 2 * size, 3 * size] + [3 * size] * (fmt == "json")
+        want = [{"i": i, "x": i / 7} for i in range(3 * size)]
+        expected = (render_json("charsum", ["i", "x"], want) if fmt == "json"
+                    else render_csv(["i", "x"], want))
+        assert "".join(text for _, text in writes) == expected
+
+    def test_out_is_replaced_atomically(self, capsys, monkeypatch, tmp_path):
+        """A run that raises after its first chunk was written leaves --out
+        as it was (absent, or its old bytes) and no temporary file."""
+        checked = cli.poly_char_sum
+        calls = []
+
+        def fail_late(field, P, a):
+            calls.append(a)
+            if len(calls) > cli.CHUNK_ROWS + 1:
+                raise ValueError("late failure")
+            return checked(field, P, a)
+
+        monkeypatch.setattr(cli, "poly_char_sum", fail_late)
+        out_file = tmp_path / "r.json"
+        argv = ["charsum", "--mode", "mordell", "--p", "11", "--format", "json",
+                "--out", str(out_file)]
+        assert run(capsys, argv) == (2, "", "error: late failure\n")
+        assert list(tmp_path.iterdir()) == []
+        out_file.write_text("old report\n")
+        calls.clear()
+        assert run(capsys, argv) == (2, "", "error: late failure\n")
+        assert list(tmp_path.iterdir()) == [out_file]
+        assert out_file.read_text() == "old report\n"
+
+    def test_out_symlink_writes_its_target(self, capsys, tmp_path):
+        """A symlinked --out is written through, as open() would: the link
+        stays a link and the file it names gets the report."""
+        code, report, _ = run(capsys, ["jacobian", *F7_ARGS])
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old report\n")
+        link.symlink_to(target)
+        assert run(capsys, ["jacobian", *F7_ARGS, "--out", str(link)])[0] == code == 0
+        assert link.is_symlink() and target.read_text() == report
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_out_keeps_an_existing_files_mode(self, capsys, tmp_path):
+        out_file = tmp_path / "r.csv"
+        out_file.write_text("old report\n")
+        out_file.chmod(0o640)
+        assert run(capsys, ["jacobian", *F7_ARGS, "--out", str(out_file)])[0] == 0
+        assert stat.S_IMODE(out_file.stat().st_mode) == 0o640
+        assert out_file.read_text().startswith("schema,")
+
+    def test_out_devnull_stays_a_device(self, capsys, monkeypatch):
+        """A device is written in place, never replaced by a file; os.replace
+        is made to fail so that a regression cannot swap out the device."""
+
+        def no_replace(*_):
+            raise AssertionError("os.replace called on a device")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        assert run(capsys, ["jacobian", *F7_ARGS, "--out", os.devnull])[:2] == (0, "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     def test_render_json_synthetic_values(self):
         columns = ["s", "nan", "pinf", "ninf", "none", "yes", "no", "i", "x", "missing"]
@@ -1082,6 +1181,14 @@ ERROR_LINES = [
      "basis must be distinct indices in [0, 3), got [0, 0]"),
     (["charsum", "--mode", "winterhof", "--p", "3", "--n", "3", "--basis", "5", "--budget", "1"],
      "basis must be distinct indices in [0, 3), got [5]"),
+    # every field and L check exits 2 before the budget prices the run
+    (["charsum", "--mode", "orthogonality", "--p", "3", "--n", "2", "--modulus", "2,0,1",
+      "--budget", "1"], "modulus (2, 0, 1) is reducible over F_3"),
+    (["charsum", "--mode", "mordell", "--p", "9", "--budget", "1"], "p=9 is not prime"),
+    (["charsum", "--mode", "orthogonality", "--p", "3", "--n", "0", "--budget", "1"],
+     "extension degree must be >= 1, got 0"),
+    (["charsum", "--mode", "interval", "--p", "127", "--L", "0", "--budget", "1"],
+     "L must be in [1, 127], got 0"),
     # a swept c is an element encoding, as it would be written in --f
     (["sweep", "--p", "7", "--f", "1,c,0,0,0,1", "--c", "9", "--extractor", "sum"],
      "9 is not an element encoding of F_7"),
@@ -1220,6 +1327,39 @@ def test_import_loads_only_the_standard_library():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, timeout=30, check=True).stdout
     assert out == "[]\n"
+
+
+# a child's output digest and peak RSS, read from a fresh process that
+# starts only that child, so RUSAGE_CHILDREN measures it alone
+CHILD_PROBE = """
+import hashlib, resource, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+digest = hashlib.sha256()
+for block in iter(lambda: proc.stdout.read(1 << 16), b""):
+    digest.update(block)
+proc.wait()
+print(proc.returncode, digest.hexdigest(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
+def test_mordell_p31_streams_in_bounded_memory():
+    """The 28 830-row, 12 MB mordell report at p = 31 is written a chunk at
+    a time, so its process peaks within 8 MB of a bare import of the CLI."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+    def probe(*argv):
+        out = subprocess.run([sys.executable, "-c", CHILD_PROBE, sys.executable, *argv],
+                             env=env, capture_output=True, text=True, timeout=120,
+                             check=True).stdout.split()
+        return int(out[0]), out[1], int(out[2])
+
+    code, digest, peak_kb = probe("-m", "xjac.cli", "charsum", "--mode", "mordell",
+                                  "--p", "31", "--format", "json")
+    bare_code, _, bare_kb = probe("-c", "import xjac.cli")
+    assert (code, bare_code) == (0, 0)
+    assert digest == "40ebecb6db81bcc0e9858bfe351e32017bad9ba6fae4e5338a5d1131469a69aa"
+    assert peak_kb - bare_kb < 8 * 1024
 
 
 def test_cli_runs_as_a_process():
