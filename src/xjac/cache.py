@@ -12,12 +12,15 @@ recomputes them in O(q).  A version-1 file (coordinate vectors and a
 "points" section) fails the version check, so ensure_jacobian warns,
 recomputes and rewrites it.
 
-Loads are never trusted blindly: a reload must match the curve
-parameters, the recorded order must equal both the divisor count and
-|J| as the curve counts it (jacobian_order), every divisor must be
-canonical, reduced and pass is_valid_divisor, and [1, 0] must come first
-with no duplicates, so a file missing some classes is stale too.
-Anything else raises CacheError.
+Loads are never trusted blindly: the header must match the curve, the
+recorded order must equal the divisor count and |J| as counted
+(jacobian_order), and one pass over the raw [u, v] lists checks each
+entry's shape, u | v^2 - f (f mod u once per u, as the classes of one u
+are contiguous) and that the entries rise strictly in enumerate_jacobian's
+order: [1, 0], weight 1 by the point (x, y), weight 2 by (u0, u1, v0, v1).
+|J| distinct valid classes in that order are the enumeration itself, so
+a file that misses, repeats or permutes classes is stale.  Anything else
+raises CacheError.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from typing import Sequence
 
 from .curve import HyperellipticCurve, MumfordDivisor
 from .field import FiniteField
-from .poly import Poly
 
 CACHE_VERSION = 2
 
@@ -55,17 +57,6 @@ def cache_key(curve: HyperellipticCurve) -> str:
 
 def cache_path(cache_dir: str, curve: HyperellipticCurve) -> str:
     return os.path.join(cache_dir, f"jacobian-{cache_key(curve)[:32]}.json")
-
-
-def _decode_poly(curve: HyperellipticCurve, coeffs, where: str) -> Poly:
-    """coeffs as a Poly over the curve's field, wrapped without Poly's
-    own checks, which the ones here already make."""
-    q = curve.field.q
-    if not (isinstance(coeffs, list) and all(type(c) is int and 0 <= c < q for c in coeffs)):
-        raise CacheError(f"{where}: {coeffs!r} is not a list of element encodings")
-    if coeffs and coeffs[-1] == 0:
-        raise CacheError(f"{where}: coefficient list not in canonical form")
-    return curve.f._wrap(coeffs)
 
 
 def _header(curve: HyperellipticCurve, order: int) -> dict:
@@ -103,18 +94,23 @@ def save(cache_dir: str, curve: HyperellipticCurve, divisors: Sequence[MumfordDi
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, curve)
     header = _header(curve, len(divisors))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write('{"divisors":[')
-        for start in range(0, len(divisors), _SAVE_CHUNK):
-            chunk = [(D.u.coeffs, D.v.coeffs) for D in divisors[start : start + _SAVE_CHUNK]]
-            if start:
-                fh.write(",")
-            fh.write(json.dumps(chunk, separators=(",", ":"))[1:-1])
-        fh.write("],")
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":"))[1:])
-        fh.write("\n")
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.getpid()}.tmp"  # one per process; removed if the write fails
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write('{"divisors":[')
+            for start in range(0, len(divisors), _SAVE_CHUNK):
+                chunk = [(D.u.coeffs, D.v.coeffs) for D in divisors[start : start + _SAVE_CHUNK]]
+                if start:
+                    fh.write(",")
+                fh.write(json.dumps(chunk, separators=(",", ":"))[1:-1])
+            fh.write("],")
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":"))[1:])
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     return path
 
 
@@ -128,6 +124,8 @@ def load(cache_dir: str, curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise CacheError(f"unreadable cache file {path}: {exc}") from exc
+    if type(data) is not dict:
+        raise CacheError(f"cache {path}: the top level is not a JSON object")
 
     expected = _header(curve, None)
     del expected["order"]  # checked against the divisor count below
@@ -148,23 +146,42 @@ def load(cache_dir: str, curve: HyperellipticCurve) -> tuple[MumfordDivisor, ...
     if order != counted:
         raise CacheError(f"cache {path}: recorded order {order} != |J| = {counted}, counted")
 
-    divisors = []
+    # per u: its shape, place, f mod u and Poly; per class: the rest
+    q, neg = curve.field.q, curve.field._neg
+    f_mod, v_squared_mod, wrap_poly = curve._f_mod, curve._v_squared_mod, curve.f._wrap
+
+    def stale(i: int, why: str) -> CacheError:
+        return CacheError(f"cache {path}: divisors[{i}] = {raw_divisors[i]!r} {why}")
+
+    divisors, key_last = [], []
+    u_last = v_last = f_u = U = None
     for i, item in enumerate(raw_divisors):
-        if not (isinstance(item, list) and len(item) == 2):
-            raise CacheError(f"cache {path}: divisors[{i}] is not a [u, v] pair")
-        u = _decode_poly(curve, item[0], f"divisors[{i}].u")
-        v = _decode_poly(curve, item[1], f"divisors[{i}].v")
-        try:
-            D = MumfordDivisor(u, v)
-        except ValueError as exc:
-            raise CacheError(f"cache {path}: divisors[{i}] is not reduced: {exc}") from exc
-        if not curve.is_valid_divisor(D):
-            raise CacheError(f"cache {path}: divisors[{i}] = {D} is invalid")
+        if not (type(item) is list and len(item) == 2 and type(item[0]) is type(item[1]) is list):
+            raise stale(i, "is not a [u, v] pair of lists")
+        u, v = item
+        for c in u + v:
+            if type(c) is not int or not 0 <= c < q:
+                raise stale(i, f"holds {c!r}, not an element encoding")
+        if u != u_last:
+            if not (0 < len(u) <= 3 and u[-1] == 1):
+                raise stale(i, "is not reduced: u is not monic of degree <= 2")
+            # u's place: [1] for [1, 0], [2, x] at the point x = -u0, [3, u0, u1]
+            key = [2, neg(u[0])] if len(u) == 2 else [len(u), *u[:-1]]
+            rises = key > key_last
+            u_last, key_last, f_u, U = u, key, f_mod(u), wrap_poly(u)
+        else:  # canonical lists compare as if padded with zeros
+            rises = v > v_last
+        if len(v) >= len(u) or (v and not v[-1]):
+            raise stale(i, "is not reduced: v is not canonical of degree below deg u")
+        if not rises:
+            raise stale(i, "is a duplicate or out of canonical order, [1, 0] first")
+        v_last = v
+        if v_squared_mod(u, v) != f_u:
+            raise stale(i, "is invalid: u does not divide v^2 - f")
+        D = object.__new__(MumfordDivisor)  # as _wrap_divisor, with u's Poly shared
+        object.__setattr__(D, "u", U)
+        object.__setattr__(D, "v", wrap_poly(v))
         divisors.append(D)
-    if not divisors or not divisors[0].is_zero:
-        raise CacheError(f"cache {path}: enumeration must start with [1, 0]")
-    if len(set(divisors)) != len(divisors):
-        raise CacheError(f"cache {path}: duplicate divisors")
     return tuple(divisors)
 
 

@@ -249,35 +249,38 @@ class HyperellipticCurve:
         u | v^2 - f; anything else, tuples included, is False.  The
         reduced shape is enforced by MumfordDivisor's constructor, or by
         construction for divisors the curve builds (_wrap_divisor)."""
-        if not isinstance(D, MumfordDivisor):
+        if not isinstance(D, MumfordDivisor) or D.u.field != self.field:
             return False
-        u, v = D.u, D.v
-        if u.field != self.field:
-            return False
+        u = D.u.coeffs
+        return self._v_squared_mod(u, D.v.coeffs) == self._f_mod(u)
+
+    def _f_mod(self, u) -> tuple:
+        """f mod the monic u, deg u <= 2, in _v_squared_mod's form: (), (f(-u0),)
+        or (r1, r0) with f == r1*x + r0; cache.load takes it once per u."""
+        if len(u) == 3:
+            return self._f_mod_quadratic(u[1], u[0])
+        return (raw_eval(self.field, self._fraw, self.field._neg(u[0])),) if len(u) == 2 else ()
+
+    def _v_squared_mod(self, u, v) -> tuple:
+        """v^2 mod the monic u, deg v < deg u <= 2, in _f_mod's form, so
+        u | v^2 - f exactly when the two are equal."""
         K = self.field
-        uc, vc = u.coeffs, v.coeffs
-        d = vc[0] if vc else 0
-        if len(uc) == 1:  # [1, 0]
-            return True
-        if len(uc) == 2:  # u = x + u0: v^2 == f at the root -u0
-            return K._mul(d, d) == raw_eval(K, self._fraw, K._neg(uc[0]))
+        d = v[0] if v else 0
+        if len(u) < 3:
+            return (K._mul(d, d),) if len(u) == 2 else ()
         # u = x^2 + a*x + b, v = c*x + d: v^2 == (2cd - a*c^2)*x + d^2 - b*c^2
-        b, a = uc[0], uc[1]
-        c = vc[1] if len(vc) > 1 else 0
+        c = v[1] if len(v) > 1 else 0
         mul, sub = K._mul, K._sub
         cc = mul(c, c)
-        return (
-            sub(mul(K._add(c, c), d), mul(a, cc)),
-            sub(mul(d, d), mul(b, cc)),
-        ) == self._f_mod_quadratic(a, b)
+        return sub(mul(K._add(c, c), d), mul(u[1], cc)), sub(mul(d, d), mul(u[0], cc))
 
     def _f_mod_quadratic(self, a: int, b: int) -> tuple[int, int]:
         """(r1, r0) with f == r1*x + r0 mod x^2 + a*x + b (Horner, using
         x^2 == -a*x - b)."""
         K = self.field
         mul, sub = K._mul, K._sub
-        r1, r0 = 0, 1  # f is monic of degree 5
-        for fk in self._fraw[4::-1]:
+        r1, r0 = 1, self._fraw[4]  # f is monic of degree 5: x + f4 after one step
+        for fk in self._fraw[3::-1]:
             r1, r0 = sub(r0, mul(a, r1)), sub(fk, mul(b, r1))
         return r1, r0
 

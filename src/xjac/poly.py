@@ -216,8 +216,8 @@ class Poly:
 
     def _wrap(self, raw: Sequence[int]) -> "Poly":
         out = object.__new__(Poly)
-        object.__setattr__(out, "field", self.field)
-        object.__setattr__(out, "coeffs", tuple(raw))
+        _set_field(out, self.field)  # the slots' own setters, past __setattr__
+        _set_coeffs(out, tuple(raw))
         return out
 
     def __call__(self, x: int) -> int:
@@ -267,3 +267,6 @@ class Poly:
                 xi = "x" if i == 1 else f"x^{i}"
                 parts.append(xi if c == 1 else f"{c}*{xi}")
         return " + ".join(parts)
+
+
+_set_field, _set_coeffs = Poly.field.__set__, Poly.coeffs.__set__

@@ -17,7 +17,7 @@ from xjac.cache import (
     save,
     serialize,
 )
-from xjac.curve import HyperellipticCurve
+from xjac.curve import HyperellipticCurve, MumfordDivisor
 from xjac.field import finite_field
 
 
@@ -324,3 +324,131 @@ class TestRecovery:
         rewritten = path.read_bytes()
         path.unlink()
         assert rewritten == Path(save(str(tmp_path), curve, divisors)).read_bytes()
+
+
+class TestTopLevel:
+    @pytest.mark.parametrize("text", ["[]", "7", "null"], ids=["list", "int", "null"])
+    def test_non_object_json_recomputed_and_rewritten(self, tmp_path, capsys, text):
+        curve, divisors = warm_cache(tmp_path)
+        path = cache_path(str(tmp_path), curve)
+        good = Path(path).read_bytes()
+        Path(path).write_text(text + "\n")
+        with pytest.raises(CacheError, match="not a JSON object"):
+            load(str(tmp_path), fresh_curve())
+
+        out, source = ensure_jacobian(fresh_curve(), str(tmp_path))
+        assert source == "computed"
+        assert out == divisors
+        assert "ignoring corrupt cache" in capsys.readouterr().err
+        assert Path(path).read_bytes() == good
+
+
+class TestSave:
+    def test_failed_save_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        curve, divisors = warm_cache(tmp_path)
+        path = cache_path(str(tmp_path), curve)
+        good = Path(path).read_bytes()
+        seen = []
+
+        class Failing(tuple):
+            # the second chunk fails, after the first is written
+            def __getitem__(self, index):
+                if isinstance(index, slice) and index.start:
+                    seen.append(sorted(os.listdir(tmp_path)))
+                    raise OSError("disk full")
+                return tuple.__getitem__(self, index)
+
+        monkeypatch.setattr(cache, "_SAVE_CHUNK", 7)
+        with pytest.raises(OSError, match="disk full"):
+            save(str(tmp_path), fresh_curve(), Failing(divisors))
+        # the write went to a file of this process's own, now removed
+        name = os.path.basename(path)
+        assert seen == [sorted([name, f"{name}.{os.getpid()}.tmp"])]
+        assert os.listdir(tmp_path) == [name]
+        assert Path(path).read_bytes() == good
+
+
+def swap_weight_2(entries):
+    i = next(i for i, (u, _) in enumerate(entries) if len(u) == 3)
+    entries[i], entries[i + 1] = entries[i + 1], entries[i]
+
+
+def weight_1_last(entries):
+    entries.append(entries.pop(1))
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("mutate", [swap_weight_2, weight_1_last])
+    @pytest.mark.parametrize("kw", [{}, {"p": 3, "n": 3, "f": "0,1,0,0,0,1"}], ids=["F7", "F27"])
+    def test_permuted_file_recomputed_and_rewritten(self, tmp_path, capsys, mutate, kw):
+        # the same classes, all valid and distinct, in another order
+        curve, divisors = warm_cache(tmp_path, **kw)
+        path = cache_path(str(tmp_path), curve)
+        good = Path(path).read_bytes()
+        corrupt(tmp_path, curve, lambda d: mutate(d["divisors"]))
+        with pytest.raises(CacheError, match="out of canonical order"):
+            load(str(tmp_path), fresh_curve(**kw))
+
+        out, source = ensure_jacobian(fresh_curve(**kw), str(tmp_path))
+        assert source == "computed"
+        assert out == divisors
+        assert "ignoring corrupt cache" in capsys.readouterr().err
+        assert Path(path).read_bytes() == good
+
+    @pytest.mark.parametrize(
+        "p,n,f", [(7, 1, "1,0,0,0,0,1"), (31, 1, "1,0,0,0,0,1"), (3, 3, "0,1,0,0,0,1"),
+                  (7, 2, "1,0,0,0,0,1")],
+        ids=["F7", "F31", "F27", "F49"],
+    )
+    def test_enumeration_rises_strictly(self, tmp_path, p, n, f):
+        """enumerate_jacobian's order is the one load requires: [1, 0],
+        weight 1 by the point (x, y), weight 2 by (u0, u1, v0, v1)."""
+        curve = fresh_curve(p=p, n=n, f=f)
+        J = curve.enumerate_jacobian()
+        neg = curve.field._neg
+
+        def documented(D):
+            w, u = D.weight, D.u.coeffs
+            v = D.v.coeffs + (0,) * (w - len(D.v.coeffs))  # padded to length deg u
+            if w == 1:
+                return (1, neg(u[0]), *v)  # (1, x, y) for the point (x, y), x = -u0
+            return (w, *u[:-1], *v)  # (0,) for [1, 0], (2, u0, u1, v0, v1)
+
+        keys = [documented(D) for D in J]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        save(str(tmp_path), curve, J)
+        assert load(str(tmp_path), fresh_curve(p=p, n=n, f=f)) == J
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("p,n", [(31, 1), (7, 2)], ids=["F31", "F49"])
+    def test_f_mod_u_once_per_u_and_no_checked_construction(
+        self, tmp_path, monkeypatch, p, n
+    ):
+        curve, divisors = warm_cache(tmp_path, p=p, n=n, f="1,0,0,0,0,1")
+        reloaded = fresh_curve(p=p, n=n, f="1,0,0,0,0,1")
+        reloaded.jacobian_order()  # counted before the calls are
+        calls = {"_f_mod": 0, "__init__": 0, "is_valid_divisor": 0}
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(HyperellipticCurve, "_f_mod")
+        counting(HyperellipticCurve, "is_valid_divisor")
+        counting(MumfordDivisor, "__init__")
+        loaded = load(str(tmp_path), reloaded)
+        monkeypatch.undo()
+
+        assert calls["_f_mod"] <= len({D.u for D in divisors}) < len(divisors)
+        assert calls["__init__"] == calls["is_valid_divisor"] == 0
+        # entry for entry, the enumeration itself
+        assert len(loaded) == len(divisors)
+        for got, want in zip(loaded, divisors):
+            assert type(got) is MumfordDivisor and got == want
+            assert (got.u.coeffs, got.v.coeffs) == (want.u.coeffs, want.v.coeffs)

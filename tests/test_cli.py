@@ -705,6 +705,40 @@ class TestCache:
         assert code == 0 and "cache" in err
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "curve_args",
+        [F7_ARGS, ["--p", "3", "--n", "3", "--f", "0,1,0,0,0,1"],
+         ["--p", "7", "--n", "2", "--f", "1,0,0,0,0,1"]],
+        ids=["F7", "F27", "F49"],
+    )
+    def test_warm_jacobian_reads_the_cache_and_prints_the_same_bytes(
+        self, capsys, tmp_path, curve_args
+    ):
+        # a load that wrongly rejected a good file would recompute silently
+        # apart from the note, and the golden digests could not see it
+        argv = ["jacobian", *curve_args, "--cache-dir", str(tmp_path)]
+        code, cold, err = run(capsys, argv)
+        assert code == 0 and "enumeration = computed" in err
+        code, warm, err = run(capsys, argv)
+        assert code == 0 and "enumeration = cache" in err and "warning" not in err
+        assert warm == cold and rows_of(cold)
+
+    @pytest.mark.parametrize("text", ["[]", "7", "null"], ids=["list", "int", "null"])
+    def test_non_object_cache_file_recomputed_and_rewritten(self, capsys, tmp_path, text):
+        argv = ["jacobian", *F7_ARGS, "--cache-dir", str(tmp_path)]
+        code, cold, _ = run(capsys, argv)
+        assert code == 0
+        [name] = os.listdir(tmp_path)
+        path = tmp_path / name
+        good = path.read_bytes()
+        path.write_text(text + "\n")
+
+        code, out, err = run(capsys, argv)
+        assert code == 0 and out == cold
+        assert "warning: ignoring corrupt cache" in err and "not a JSON object" in err
+        assert "enumeration = computed" in err
+        assert path.read_bytes() == good
+
     def test_cold_then_warm_montecarlo_extension_field(self, capsys, tmp_path):
         cache = tmp_path / "cache"
         argv = ["extract-sd", "--p", "3", "--n", "3", "--f", "0,1,0,0,0,1",
